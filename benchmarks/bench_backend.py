@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=None)
     parser.add_argument(
         "--backends", nargs="+", default=list(DEFAULT_BACKENDS),
-        help="backends to measure (numpy, fast, numba)",
+        help="backends to measure (numpy, fast)",
     )
     parser.add_argument(
         "--modes", nargs="+", default=["collect", "full"],

@@ -7,11 +7,11 @@ accumulator modules so the dispatch seam cannot change a single draw or a
 single rounding.  The equivalence tests in ``tests/test_backends.py`` pin
 this backend bit-for-bit against frozen copies of the seed algorithms.
 
-Subclasses (:mod:`repro.backends.fast`, :mod:`repro.backends.numba_backend`)
-override individual kernels with faster algorithms that are *statistically*
-equivalent — same distributions, different RNG consumption — which is why
-the backend choice is an execution detail (like ``collect_workers``) and not
-part of a run's identity.
+The subclass in :mod:`repro.backends.fast` overrides individual kernels
+with faster algorithms that are *statistically* equivalent — same
+distributions, different RNG consumption — which is why the backend choice
+is an execution detail (like ``collect_workers``) and not part of a run's
+identity.
 
 Kernel families:
 

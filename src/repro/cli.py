@@ -439,10 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help="array-compute backend for the hot kernels: 'numpy' (the "
-        "bit-stable reference), 'fast' (single-pass pure-numpy rewrites, "
-        "statistically equivalent) or 'numba' (JIT loops when numba is "
-        "installed, else falls back to numpy with a warning); overrides the "
-        "scenario's 'backend'; default: the scenario's setting, else numpy",
+        "bit-stable reference) or 'fast' (single-pass pure-numpy rewrites, "
+        "statistically equivalent); overrides the scenario's 'backend'; "
+        "default: the scenario's setting, else numpy",
     )
     run_parser.add_argument(
         "--protocol",

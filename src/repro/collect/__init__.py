@@ -26,8 +26,9 @@ larger than RAM can be collected in bounded memory:
 streaming population generator, the chunked perturb/poison paths and the
 ``collect_stream`` protocol entry points.  :mod:`repro.collect.sharding`
 adds the deterministic block-seeded :class:`~repro.collect.sharding.ShardPlan`
-behind the parallel ``collect_sharded`` paths: every accumulator's
-associative ``merge()`` plus per-block pre-drawn seeds make the merged round
+and the one shard worker behind every ``collect_sharded`` path (DAP's, and
+the k-RR and sketch routes' shared categorical collector): per-block seeds
+and every accumulator's associative ``merge()`` make the merged round
 bit-identical at any shard count and any worker count.
 """
 

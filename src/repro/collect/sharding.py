@@ -20,6 +20,10 @@ statistics are bit-identical at **any** shard count and any worker count:
 ``n_shards`` and the process-pool size are pure execution details, on the
 same footing as the engine's ``n_workers``.  Only ``block_size`` is part of
 the run's identity (it decides how the per-block generators are consumed).
+
+Every sharded route (DAP, and k-RR and count sketch as its one-group case)
+runs one worker, :func:`run_shard`, through :func:`collect_shards`; a route
+differs only in the client it ships with each :class:`ShardTask`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ from typing import Any, Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.backends import get_backend, use_backend
+from repro.protocol.pipeline import ProtocolPipeline
 from repro.resilience.pool import ResilientPool
+from repro.utils.profiling import stage
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_integer
 
@@ -45,7 +52,7 @@ def _n_blocks(count: int, block_size: int) -> int:
     return -(-count // block_size) if count else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShardSlice:
     """One group's share of one shard.
 
@@ -62,6 +69,8 @@ class ShardSlice:
         Number of the group's Byzantine users covered by this shard.
     byzantine_seeds:
         One seed per Byzantine block, in block order.
+    group_normal, group_byzantine:
+        The whole group's head-counts (a client sizes group state from them).
     """
 
     group_index: int
@@ -70,6 +79,8 @@ class ShardSlice:
     normal_seeds: Tuple[int, ...]
     n_byzantine: int
     byzantine_seeds: Tuple[int, ...]
+    group_normal: int
+    group_byzantine: int
 
     @property
     def n_normal(self) -> int:
@@ -131,6 +142,8 @@ class ShardPlan:
                     normal_seeds=self.normal_seeds[group][n0:n1],
                     n_byzantine=max(0, byz_stop - byz_start),
                     byzantine_seeds=self.byzantine_seeds[group][b0:b1],
+                    group_normal=self.normal_counts[group],
+                    group_byzantine=self.byzantine_counts[group],
                 )
             )
         return slices
@@ -210,6 +223,57 @@ def build_shard_plan(
     )
 
 
+@dataclass(frozen=True, slots=True)
+class ShardTask:
+    """One shard for :func:`run_shard`: each :class:`ShardSlice` paired with
+    its normal-user values, and the protocol's picklable client — a ``plan``
+    plus ``new_accumulator(piece)``, ``encode(group, values, rng)`` and
+    ``poison(group, n_users, rng)`` — never the protocol object."""
+
+    client: Any
+    pieces: Tuple[Tuple[ShardSlice, np.ndarray], ...]
+    block_size: int
+    backend: str
+
+
+def run_shard(task: ShardTask) -> List[Tuple[int, dict]]:
+    """Process one shard into ``(group_index, accumulator state)`` pairs.
+
+    Each block is encoded (or poisoned) with its own block seed's generator
+    and delivered on that seed's transport lane, under the submitting
+    process's array backend, so the output depends only on the task.
+    """
+    client = task.client
+    pipeline = ProtocolPipeline(client.plan)
+    block = task.block_size
+
+    def fold(accumulator: Any, reports: np.ndarray, seed: int) -> None:
+        # the block seed is the shard-partition-invariant lane key
+        reports = pipeline.deliver(reports, (seed,))
+        with stage("collect.accumulate"):
+            accumulator.update(reports)
+
+    states: List[Tuple[int, dict]] = []
+    with use_backend(task.backend):
+        for piece, values in task.pieces:
+            group = piece.group_index
+            accumulator = client.new_accumulator(piece)
+            for index, seed in enumerate(piece.normal_seeds):
+                chunk = values[index * block : (index + 1) * block]
+                if chunk.size:
+                    rng = np.random.default_rng(seed)
+                    fold(accumulator, client.encode(group, chunk, rng), seed)
+            remaining = piece.n_byzantine
+            for seed in piece.byzantine_seeds:
+                n_users = min(block, remaining)
+                remaining -= n_users
+                if n_users:
+                    rng = np.random.default_rng(seed)
+                    fold(accumulator, client.poison(group, n_users, rng), seed)
+            states.append((group, accumulator.state_dict()))
+    return states
+
+
 def run_shard_tasks(
     worker: Callable[[Any], Any],
     tasks: Sequence[Any],
@@ -223,7 +287,7 @@ def run_shard_tasks(
     ``"collect.shard"``).  Results are identical under any worker count, any
     retry, any pool reincarnation and the serial degradation path — each task
     is a pure function of its pre-drawn block seeds.  ``pickle_probe`` (e.g.
-    a task's config + attack) is test-pickled before a pool is started;
+    the round's shard client) is test-pickled before a pool is started;
     unpicklable configurations and pool failures degrade to serial execution
     with a single warning per run, mirroring the experiment executor.
 
@@ -237,11 +301,43 @@ def run_shard_tasks(
     )
 
 
+def collect_shards(
+    plan: ShardPlan,
+    client: Any,
+    group_values: Sequence[np.ndarray],
+    accumulators: Sequence[Any],
+    n_workers: int | None,
+) -> Sequence[Any]:
+    """Run every shard of ``plan`` through :func:`run_shard` and merge.
+
+    One task per shard, in shard order and empty shards included, so a
+    fault plan's task index is the shard index.  ``group_values[g]`` holds
+    group ``g``'s normal-user values; ``accumulators[g]`` receives group
+    ``g``'s shard states and is returned.
+    """
+    backend = get_backend().name
+    tasks = []
+    for shard in plan.shards():
+        pieces = tuple(
+            (p, group_values[p.group_index][p.normal_start : p.normal_stop])
+            for p in shard
+        )
+        tasks.append(ShardTask(client, pieces, plan.block_size, backend))
+    for states in run_shard_tasks(run_shard, tasks, n_workers, pickle_probe=client):
+        for group_index, state in states:
+            target = accumulators[group_index]
+            target.merge(type(target).from_state(state))
+    return accumulators
+
+
 __all__ = [
     "DEFAULT_SHARD_BLOCK",
     "SHARD_POOL_LABEL",
     "ShardPlan",
     "ShardSlice",
+    "ShardTask",
     "build_shard_plan",
+    "collect_shards",
+    "run_shard",
     "run_shard_tasks",
 ]

@@ -38,6 +38,11 @@ domain-intersection view), the transport stage is an identity pass-through
 (``protocol="local"``) or the seeded shuffler (``protocol="shuffle"``),
 and the server stage folds accumulators and — under shuffle — writes the
 privacy-amplification ledger into :class:`DAPResult`.
+
+Every path draws through one client (``_DAPClient``: configuration and
+attack, never the protocol object), which ``collect_sharded`` hands to the
+shard worker of :mod:`repro.collect.sharding` shared with the categorical
+routes.
 """
 
 from __future__ import annotations
@@ -48,12 +53,12 @@ from typing import Callable, Iterable, List, Literal, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.attacks.base import Attack, NoAttack
-from repro.backends import get_backend, use_backend
 from repro.collect.accumulators import GroupAccumulator, GroupStats
 from repro.collect.sharding import (
     DEFAULT_SHARD_BLOCK,
+    ShardSlice,
     build_shard_plan,
-    run_shard_tasks,
+    collect_shards,
 )
 from repro.collect.streaming import DEFAULT_CHUNK_SIZE
 from repro.core.aggregation import aggregate_means, aggregation_weights
@@ -293,39 +298,6 @@ class DAPResult:
         return np.array([g.weight for g in self.group_estimates])
 
 
-def _client_perturb(
-    mechanism: NumericalMechanism,
-    values: np.ndarray,
-    repeats: int,
-    rng: RngLike,
-) -> np.ndarray:
-    """Client stage, honest users: perturb ``repeats`` reports per value.
-
-    The single perturbation kernel every collection path (in-memory,
-    streaming, sharded worker) lowers to.
-    """
-    with stage("collect.sample"):
-        return mechanism.perturb(np.repeat(values, repeats), rng)
-
-
-def _client_poison(
-    attack: Attack,
-    mechanism_view: NumericalMechanism,
-    n_reports: int,
-    reference_mean: float,
-    rng: RngLike,
-) -> np.ndarray:
-    """Client stage, compromised users: draw poison against a mechanism view.
-
-    ``mechanism_view`` is the group's own mechanism under the local
-    protocol, or the group-blind domain-intersection view under shuffle.
-    """
-    with stage("collect.poison"):
-        return attack.poison_reports(
-            n_reports, mechanism_view, reference_mean, rng
-        ).reports
-
-
 class DAPProtocol:
     """The multi-group Differential Aggregation Protocol."""
 
@@ -428,9 +400,9 @@ class DAPProtocol:
         for group_index, member in enumerate(np.array_split(user_indices, h)):
             group_of_user[member] = group_index
 
+        client = _DAPClient(self.config, attack)
         groups: List[GroupCollection] = []
         for group_index, epsilon_t in enumerate(ladder):
-            mechanism = self.mechanism_for(epsilon_t)
             members = np.flatnonzero(group_of_user == group_index)
             normal_members = members[members < n_normal]
             byzantine_members = members[members >= n_normal]
@@ -438,22 +410,11 @@ class DAPProtocol:
 
             pieces = []
             if normal_members.size and repeats:
-                pieces.append(
-                    _client_perturb(
-                        mechanism, normal_values[normal_members], repeats, rng
-                    )
-                )
+                values = normal_values[normal_members]
+                pieces.append(client.encode(group_index, values, rng))
             if byzantine_members.size and repeats:
-                view = pipeline.adversary_view(mechanism, self._mechanisms)
-                pieces.append(
-                    _client_poison(
-                        attack,
-                        view,
-                        int(byzantine_members.size) * repeats,
-                        self._reference_mean(view),
-                        rng,
-                    )
-                )
+                n_users = int(byzantine_members.size)
+                pieces.append(client.poison(group_index, n_users, rng))
             reports = np.concatenate(pieces) if pieces else np.empty(0)
             reports = pipeline.deliver(reports, (group_index, reports.size))
             groups.append(
@@ -540,6 +501,7 @@ class DAPProtocol:
         """
         rng = ensure_rng(rng)
         attack = attack or NoAttack()
+        client = _DAPClient(self.config, attack)
         pipeline = self.pipeline
         n_normal = check_integer(n_normal, "n_normal", minimum=0)
         n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
@@ -595,8 +557,7 @@ class DAPProtocol:
                 repeats = self._reports_per_user(epsilon_t)
                 if not values.size or not repeats:
                     continue
-                mechanism = self.mechanism_for(epsilon_t)
-                reports = _client_perturb(mechanism, values, repeats, rng)
+                reports = client.encode(group_index, values, rng)
                 reports = pipeline.deliver(
                     reports, (group_index, lane_counters[group_index], reports.size)
                 )
@@ -614,9 +575,7 @@ class DAPProtocol:
             n_poison = n_byz * self._reports_per_user(epsilon_t)
             if not n_poison:
                 continue
-            view = pipeline.adversary_view(
-                self.mechanism_for(epsilon_t), self._mechanisms
-            )
+            view = self.adversary_mechanism(epsilon_t)
             reference = self._reference_mean(view)
             chunks = attack.poison_report_chunks(
                 n_poison, view, reference, rng, chunk_size=poison_chunk_size
@@ -658,9 +617,10 @@ class DAPProtocol:
         bit for bit), then each group's user range is cut into fixed-size
         blocks with one pre-drawn seed per block
         (:func:`repro.collect.build_shard_plan`).  A shard — a contiguous run
-        of whole blocks — is processed by the existing chunked perturb/poison
-        path into fresh :class:`~repro.collect.GroupAccumulator` objects, and
-        shard results are folded back with ``merge()``.
+        of whole blocks — is processed by the shard worker every sharded
+        route shares (:func:`repro.collect.sharding.run_shard`) into fresh
+        :class:`~repro.collect.GroupAccumulator` objects, and shard results
+        are folded back with ``merge()``.
 
         Because the blocks own the randomness, the merged accumulators are
         bit-identical at any ``n_shards`` and any ``n_workers`` (both are
@@ -715,65 +675,16 @@ class DAPProtocol:
             rng=rng,
             block_size=block_size,
         )
-        def expected_reports(group_index: int, n_normal_part: int, n_byz_part: int) -> int:
-            repeats = self._reports_per_user(ladder[group_index])
-            return n_normal_part * repeats + attack.n_poison_reports(
-                n_byz_part * repeats
-            )
-
-        # shard workers run in their own processes, so the parent's active
-        # backend travels with the task (the name of what actually runs —
-        # a numba request without numba has already fallen back by here)
-        backend_name = get_backend().name
-        tasks = [
-            _ShardTask(
-                config=self.config,
-                attack=attack,
-                block_size=block_size,
-                backend=backend_name,
-                groups=tuple(
-                    _ShardGroupPayload(
-                        group_index=piece.group_index,
-                        epsilon=ladder[piece.group_index],
-                        total_expected_reports=expected_reports(
-                            piece.group_index,
-                            group_values[piece.group_index].size,
-                            group_byzantine[piece.group_index],
-                        ),
-                        values=group_values[piece.group_index][
-                            piece.normal_start : piece.normal_stop
-                        ],
-                        normal_seeds=piece.normal_seeds,
-                        n_byzantine=piece.n_byzantine,
-                        byzantine_seeds=piece.byzantine_seeds,
-                    )
-                    for piece in plan.shard(shard_index)
-                ),
-            )
-            for shard_index in range(plan.n_shards)
-        ]
-
-        shard_states = run_shard_tasks(
-            _run_shard,
-            tasks,
-            n_workers,
-            pickle_probe=(self.config, attack),
-        )
-
+        client = _DAPClient(self.config, attack)
         accumulators = [
             self.group_accumulator(
                 epsilon_t,
-                expected_reports(
-                    index, group_values[index].size, group_byzantine[index]
-                ),
+                client.expected_reports(index, group_values[index].size, n_byz),
                 n_users=0,
             )
-            for index, epsilon_t in enumerate(ladder)
+            for index, (epsilon_t, n_byz) in enumerate(zip(ladder, group_byzantine))
         ]
-        for states in shard_states:
-            for group_index, state in states:
-                accumulators[group_index].merge(GroupAccumulator.from_state(state))
-        return accumulators
+        return collect_shards(plan, client, group_values, accumulators, n_workers)
 
     def run_sharded(
         self,
@@ -1099,96 +1010,61 @@ class DAPProtocol:
 
 
 # ----------------------------------------------------------------------
-# shard workers (module-level, so tasks pickle cleanly into process pools)
+# shard client (module-level, so shard tasks pickle cleanly into pools)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _ShardGroupPayload:
-    """One group's slice of one shard, plus the data needed to process it."""
+@dataclass(frozen=True, slots=True)
+class _DAPClient:
+    """DAP's client stage, for every collection path and the shard worker.
 
-    group_index: int
-    epsilon: float
-    total_expected_reports: int
-    values: np.ndarray
-    normal_seeds: Tuple[int, ...]
-    n_byzantine: int
-    byzantine_seeds: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything one worker needs to run one shard."""
+    Ships the config and the attack, never the protocol: each call rebuilds
+    the ladder's mechanisms (cheap next to a block of users).  A group the
+    contribution cap silences encodes and poisons into empty blocks."""
 
     config: DAPConfig
     attack: Attack
-    block_size: int
-    groups: Tuple[_ShardGroupPayload, ...]
-    backend: str = "numpy"
 
+    @property
+    def plan(self) -> ProtocolPlan:
+        return self.config.protocol_plan
 
-def _run_shard(task: _ShardTask) -> List[Tuple[int, dict]]:
-    """Process one shard into per-group accumulator snapshots.
+    def _group(self, group_index: int) -> Tuple[DAPProtocol, float, int]:
+        protocol = DAPProtocol(self.config)
+        epsilon = self.config.budget_ladder[group_index]
+        return protocol, epsilon, protocol._reports_per_user(epsilon)
 
-    Every block is perturbed (or poisoned) with a fresh generator seeded by
-    its pre-drawn block seed, so the output depends only on the task — never
-    on which process ran it or what ran before.  The task also carries the
-    submitting process's array backend, re-applied here so pooled shards
-    sample with the same kernels as in-process ones.
-    """
-    with use_backend(task.backend):
-        return _run_shard_inner(task)
+    def expected_reports(self, group_index: int, n_normal: int, n_byz: int) -> int:
+        repeats = self._group(group_index)[2]
+        return n_normal * repeats + self.attack.n_poison_reports(n_byz * repeats)
 
-
-def _run_shard_inner(task: _ShardTask) -> List[Tuple[int, dict]]:
-    protocol = DAPProtocol(task.config)
-    pipeline = protocol.pipeline
-    block = task.block_size
-    states: List[Tuple[int, dict]] = []
-    for payload in task.groups:
-        mechanism = protocol.mechanism_for(payload.epsilon)
-        repeats = protocol._reports_per_user(payload.epsilon)
-        grid = protocol.group_output_grid(
-            payload.epsilon, max(1, payload.total_expected_reports)
+    def new_accumulator(self, piece: ShardSlice) -> GroupAccumulator:
+        protocol, epsilon, _ = self._group(piece.group_index)
+        # sized from the whole group's report count, like the merge base
+        total = self.expected_reports(
+            piece.group_index, piece.group_normal, piece.group_byzantine
         )
-        accumulator = GroupAccumulator(
-            payload.epsilon,
-            grid,
-            n_expected_reports=int(payload.values.size) * repeats
-            + task.attack.n_poison_reports(payload.n_byzantine * repeats),
-            n_users=int(payload.values.size) + payload.n_byzantine,
+        return GroupAccumulator(
+            epsilon,
+            protocol.group_output_grid(epsilon, max(1, total)),
+            n_expected_reports=self.expected_reports(
+                piece.group_index, piece.n_normal, piece.n_byzantine
+            ),
+            n_users=piece.n_users,
         )
-        for index, seed in enumerate(payload.normal_seeds):
-            chunk = payload.values[index * block : (index + 1) * block]
-            if not chunk.size or not repeats:
-                continue
-            reports = _client_perturb(
-                mechanism, chunk, repeats, np.random.default_rng(int(seed))
+
+    def encode(self, group_index: int, values: np.ndarray, rng: RngLike) -> np.ndarray:
+        protocol, epsilon, repeats = self._group(group_index)
+        with stage("collect.sample"):
+            return protocol.mechanism_for(epsilon).perturb(
+                np.repeat(values, repeats), rng
             )
-            # the block seed is the shard-partition-invariant lane key, so
-            # shuffled merges stay bit-identical at any shard/worker count
-            reports = pipeline.deliver(reports, (int(seed),))
-            with stage("collect.accumulate"):
-                accumulator.update(reports)
-        if payload.n_byzantine and repeats:
-            view = pipeline.adversary_view(mechanism, protocol._mechanisms)
-            reference = protocol._reference_mean(view)
-            remaining = payload.n_byzantine
-            for seed in payload.byzantine_seeds:
-                n_users_block = min(block, remaining)
-                remaining -= n_users_block
-                if not n_users_block:
-                    continue
-                poison = _client_poison(
-                    task.attack,
-                    view,
-                    n_users_block * repeats,
-                    reference,
-                    np.random.default_rng(int(seed)),
-                )
-                poison = pipeline.deliver(poison, (int(seed),))
-                with stage("collect.accumulate"):
-                    accumulator.update(poison)
-        states.append((payload.group_index, accumulator.state_dict()))
-    return states
+
+    def poison(self, group_index: int, n_users: int, rng: RngLike) -> np.ndarray:
+        protocol, epsilon, repeats = self._group(group_index)
+        view = protocol.adversary_mechanism(epsilon)
+        with stage("collect.poison"):
+            return self.attack.poison_reports(
+                n_users * repeats, view, protocol._reference_mean(view), rng
+            ).reports
 
 
 __all__ = [

@@ -18,6 +18,10 @@ aware stopping rule; DESIGN.md records it as an implementation choice.
 Once the poisoned categories are known, EMF* with the probed ``gamma_hat``
 reconstructs the normal users' frequency histogram, which is the quantity
 Figure 9(c)(d) evaluates.
+
+Collection is DAP's one-group case: :class:`CategoricalCollector` holds the
+one ``collect`` / ``collect_stream`` / ``collect_sharded`` body this route
+and the sketch route share, sharded through DAP's shard worker.
 """
 
 from __future__ import annotations
@@ -27,17 +31,18 @@ from typing import Iterable, List, Literal, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import get_backend, use_backend
 from repro.collect.accumulators import CategoryCountAccumulator
 from repro.collect.sharding import (
     DEFAULT_SHARD_BLOCK,
+    ShardSlice,
     build_shard_plan,
-    run_shard_tasks,
+    collect_shards,
 )
 from repro.collect.streaming import DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.core.emf_star import constrained_m_step
 from repro.core.probing import PROBE_STRATEGIES, check_probe_strategy
 from repro.ldp.ems import EMResult, em_reconstruct, em_reconstruct_batch
+from repro.ldp.count_sketch import CountSketch
 from repro.ldp.krr import KRandomizedResponse
 from repro.protocol.pipeline import ProtocolPipeline
 from repro.protocol.plan import ProtocolPlan
@@ -95,7 +100,143 @@ class FrequencyDAPResult:
     amplification: List[dict] | None = None
 
 
-class FrequencyDAP:
+@dataclass(frozen=True, slots=True)
+class CategoricalClient:
+    """The shard-worker client of a categorical round: the mechanism, the
+    protocol plan and the validated targets, never the estimator's caches."""
+
+    mechanism: KRandomizedResponse | CountSketch
+    plan: ProtocolPlan
+    targets: Tuple[int, ...]
+
+    def new_accumulator(self, piece: ShardSlice | None = None):
+        return self.mechanism.new_accumulator()
+
+    def encode(self, group_index: int, categories: np.ndarray, rng: RngLike):
+        with stage("collect.sample"):
+            return self.mechanism.perturb(categories, rng)
+
+    def poison(self, group_index: int, n_users: int, rng: RngLike):
+        with stage("collect.poison"):
+            return self.mechanism.target_reports(self.targets, rng, size=n_users)
+
+
+class CategoricalCollector:
+    """The collection round of the k-RR and count-sketch routes, written once.
+
+    Subclasses set ``mechanism`` (with ``perturb``, ``target_reports`` and
+    ``new_accumulator``), define ``estimate`` and delegate ``collect``,
+    ``collect_stream`` and ``collect_sharded`` here."""
+
+    mechanism: KRandomizedResponse | CountSketch
+
+    def __init__(self, protocol: str, cap: int | None, shuffle_seed: int) -> None:
+        # a single budget group: the shuffle protocol leaves the adversary's
+        # reach unchanged (poison is already category-targeted) and adds the
+        # amplification ledger and the (statistics-invariant) transport mixing
+        self.protocol_plan = ProtocolPlan(protocol, cap, shuffle_seed)
+
+    @property
+    def pipeline(self) -> ProtocolPipeline:
+        """Stage helpers for the configured protocol (cheap to build)."""
+        return ProtocolPipeline(self.protocol_plan)
+
+    def _reports_per_user(self) -> int:
+        """Each user sends one report, unless the cap drops it."""
+        return self.protocol_plan.effective_repeats(1)
+
+    def contribution_summary(self, n_total: int) -> int:
+        """Reports the contribution cap drops for ``n_total`` users."""
+        return self.pipeline.skipped_reports([int(n_total)], [1])
+
+    def _client(self, poisoned_categories, n_byzantine: int) -> CategoricalClient:
+        """Validate the poison targets once, before any draw or pool start."""
+        targets = np.asarray(list(poisoned_categories), dtype=int)
+        if n_byzantine and not targets.size:
+            raise ValueError(
+                "poisoned_categories must be provided when n_byzantine > 0"
+            )
+        targets = self.mechanism._validate_categories(targets).tolist()
+        return CategoricalClient(self.mechanism, self.protocol_plan, tuple(targets))
+
+    def _collect(self, categories, targets, n_byzantine, rng):
+        rng = ensure_rng(rng)
+        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
+        client = self._client(targets, n_byzantine)
+        categories = np.asarray(categories, dtype=int)
+        if not self._reports_per_user():
+            # empty reports of the route's shape; the caller's rng is untouched
+            return self.mechanism.perturb(categories[:0], np.random.default_rng())
+        reports = [client.encode(0, categories, rng)]
+        if n_byzantine:
+            reports.append(client.poison(0, n_byzantine, rng))
+        merged = np.concatenate(reports)
+        return self.pipeline.deliver(merged, (0, len(merged)))
+
+    def _collect_stream(self, chunks, targets, n_byzantine, rng, poison_chunk_size):
+        rng = ensure_rng(rng)
+        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
+        client = self._client(targets, n_byzantine)
+        pipeline = self.pipeline
+        capped = not self._reports_per_user()
+        accumulator = client.new_accumulator()
+        lane = 0
+
+        def fold(reports: np.ndarray) -> None:
+            # one lane per delivered batch; len() counts reports of any shape
+            nonlocal lane
+            reports = pipeline.deliver(reports, (0, lane, len(reports)))
+            lane += 1
+            with stage("collect.accumulate"):
+                accumulator.update(reports)
+
+        for chunk in chunks:
+            chunk = np.asarray(chunk, dtype=int).ravel()
+            if chunk.size and not capped:
+                fold(client.encode(0, chunk, rng))
+        if n_byzantine and not capped:
+            for start, stop in iter_chunks(n_byzantine, poison_chunk_size):
+                fold(client.poison(0, stop - start, rng))
+        return accumulator
+
+    def _collect_sharded(
+        self, categories, targets, n_byzantine, rng, n_shards, n_workers, block_size
+    ):
+        rng = ensure_rng(rng)
+        categories = np.asarray(categories, dtype=int).ravel()
+        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
+        client = self._client(targets, n_byzantine)
+        if not self._reports_per_user():
+            return client.new_accumulator()
+        plan = build_shard_plan(
+            [categories.size],
+            [n_byzantine],
+            n_shards=n_shards,
+            rng=rng,
+            block_size=block_size,
+        )
+        (accumulator,) = collect_shards(
+            plan, client, [categories], [client.new_accumulator()], n_workers
+        )
+        return accumulator
+
+    def run(
+        self,
+        normal_categories: np.ndarray,
+        poisoned_categories: Sequence[int] = (),
+        n_byzantine: int = 0,
+        rng: RngLike = None,
+    ):
+        """Simulate one round end to end (collection + estimation)."""
+        reports = self.collect(normal_categories, poisoned_categories, n_byzantine, rng)
+        result = self.estimate(reports)
+        result.skipped_reports = self.contribution_summary(
+            int(np.asarray(normal_categories).size) + int(n_byzantine)
+        )
+        return result
+
+
+class FrequencyDAP(CategoricalCollector):
     """Collusion-robust frequency estimation on top of k-RR.
 
     Parameters
@@ -160,15 +301,7 @@ class FrequencyDAP:
         )
         self.min_likelihood_gain = check_positive(min_likelihood_gain, "min_likelihood_gain")
         self.probe_strategy = check_probe_strategy(probe_strategy)
-        # the frequency route has a single budget group, so the shuffle
-        # protocol leaves the adversary's reach unchanged (poison is already
-        # category-targeted); what shuffling adds here is the amplification
-        # ledger and the transport mixing (statistics-invariant)
-        self.protocol_plan = ProtocolPlan(
-            protocol=protocol,
-            contribution_cap=contribution_cap,
-            shuffle_seed=shuffle_seed,
-        )
+        super().__init__(protocol, contribution_cap, shuffle_seed)
         self.mechanism = KRandomizedResponse(epsilon, n_categories)
         # transform caches: the k x k normal block never changes for a given
         # instance, and repeated solves over one poison set (plain EMF, then
@@ -177,23 +310,7 @@ class FrequencyDAP:
         self._transform_cache: tuple[tuple[int, ...], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    # protocol pipeline
-    # ------------------------------------------------------------------
-    @property
-    def pipeline(self) -> ProtocolPipeline:
-        """Stage helpers for the configured protocol (cheap to build)."""
-        return ProtocolPipeline(self.protocol_plan)
-
-    def _reports_per_user(self) -> int:
-        """Each user sends one k-RR report, unless the cap drops it."""
-        return self.protocol_plan.effective_repeats(1)
-
-    def contribution_summary(self, n_total: int) -> int:
-        """Reports the contribution cap drops for ``n_total`` users."""
-        return self.pipeline.skipped_reports([int(n_total)], [1])
-
-    # ------------------------------------------------------------------
-    # client-side simulation helpers
+    # client-side simulation (the shared categorical collector)
     # ------------------------------------------------------------------
     @profiled_stage("collect")
     def collect(
@@ -210,25 +327,7 @@ class FrequencyDAP:
         them), which is the strongest attack available in the k-RR output
         domain.  The combined batch then rides the transport stage.
         """
-        rng = ensure_rng(rng)
-        pipeline = self.pipeline
-        normal_categories = np.asarray(normal_categories, dtype=int)
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if not self._reports_per_user():
-            return np.empty(0, dtype=int)
-        with stage("collect.sample"):
-            reports = [self.mechanism.perturb(normal_categories, rng)]
-        if n_byzantine:
-            if not poisoned_categories:
-                raise ValueError(
-                    "poisoned_categories must be provided when n_byzantine > 0"
-                )
-            targets = np.asarray(list(poisoned_categories), dtype=int)
-            with stage("collect.poison"):
-                poison = targets[rng.integers(0, targets.size, size=n_byzantine)]
-            reports.append(poison)
-        merged = np.concatenate(reports)
-        return pipeline.deliver(merged, (0, merged.size))
+        return self._collect(normal_categories, poisoned_categories, n_byzantine, rng)
 
     @profiled_stage("collect")
     def collect_stream(
@@ -246,35 +345,9 @@ class FrequencyDAP:
         reports are drawn in bounded chunks, so memory never scales with the
         population.  Feed the result to :meth:`estimate_from_counts`.
         """
-        rng = ensure_rng(rng)
-        pipeline = self.pipeline
-        capped = not self._reports_per_user()
-        lane = 0
-        accumulator = CategoryCountAccumulator(self.n_categories)
-        for chunk in category_chunks:
-            chunk = np.asarray(chunk, dtype=int).ravel()
-            if chunk.size and not capped:
-                with stage("collect.sample"):
-                    reports = self.mechanism.perturb(chunk, rng)
-                reports = pipeline.deliver(reports, (0, lane, reports.size))
-                lane += 1
-                with stage("collect.accumulate"):
-                    accumulator.update(reports)
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if n_byzantine and not capped:
-            if not poisoned_categories:
-                raise ValueError(
-                    "poisoned_categories must be provided when n_byzantine > 0"
-                )
-            targets = np.asarray(list(poisoned_categories), dtype=int)
-            for start, stop in iter_chunks(n_byzantine, poison_chunk_size):
-                with stage("collect.poison"):
-                    poison = targets[rng.integers(0, targets.size, size=stop - start)]
-                poison = pipeline.deliver(poison, (0, lane, poison.size))
-                lane += 1
-                with stage("collect.accumulate"):
-                    accumulator.update(poison)
-        return accumulator
+        return self._collect_stream(
+            category_chunks, poisoned_categories, n_byzantine, rng, poison_chunk_size
+        )
 
     @profiled_stage("collect")
     def collect_sharded(
@@ -289,59 +362,18 @@ class FrequencyDAP:
     ) -> CategoryCountAccumulator:
         """Sharded collection into one merged category-count accumulator.
 
-        The categorical counterpart of
-        :meth:`repro.core.dap.DAPProtocol.collect_sharded`: the users are cut
-        into fixed-size blocks with one pre-drawn seed each
-        (:func:`repro.collect.build_shard_plan`), shards — contiguous runs of
-        blocks — are processed independently (optionally over a process
-        pool), and the per-shard counts are folded with ``merge()``.  The
-        merged counts are bit-identical at any ``n_shards`` / ``n_workers``.
+        The one-group case of
+        :meth:`repro.core.dap.DAPProtocol.collect_sharded`, run by the same
+        shard worker: the users are cut into fixed-size blocks with one
+        pre-drawn seed each (:func:`repro.collect.build_shard_plan`), shards
+        are processed independently (optionally over a process pool), and
+        the per-shard counts are folded with ``merge()``.  The merged counts
+        are bit-identical at any ``n_shards`` / ``n_workers``.
         """
-        rng = ensure_rng(rng)
-        normal_categories = np.asarray(normal_categories, dtype=int).ravel()
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if n_byzantine and not poisoned_categories:
-            raise ValueError(
-                "poisoned_categories must be provided when n_byzantine > 0"
-            )
-        targets = np.asarray(list(poisoned_categories), dtype=int)
-        if not self._reports_per_user():
-            return CategoryCountAccumulator(self.n_categories)
-        plan = build_shard_plan(
-            [normal_categories.size],
-            [n_byzantine],
-            n_shards=n_shards,
-            rng=rng,
-            block_size=block_size,
+        return self._collect_sharded(
+            normal_categories, poisoned_categories, n_byzantine, rng,
+            n_shards, n_workers, block_size,
         )
-        backend_name = get_backend().name
-        tasks = []
-        for shard_index in range(plan.n_shards):
-            slices = plan.shard(shard_index)
-            if not slices:
-                continue
-            (piece,) = slices
-            tasks.append(
-                _FrequencyShardTask(
-                    epsilon=self.epsilon,
-                    n_categories=self.n_categories,
-                    categories=normal_categories[
-                        piece.normal_start : piece.normal_stop
-                    ],
-                    normal_seeds=piece.normal_seeds,
-                    n_byzantine=piece.n_byzantine,
-                    byzantine_seeds=piece.byzantine_seeds,
-                    targets=targets,
-                    block_size=block_size,
-                    backend=backend_name,
-                    protocol=self.protocol_plan.protocol,
-                    shuffle_seed=self.protocol_plan.shuffle_seed,
-                )
-            )
-        accumulator = CategoryCountAccumulator(self.n_categories)
-        for state in run_shard_tasks(_run_frequency_shard, tasks, n_workers):
-            accumulator.merge(CategoryCountAccumulator.from_state(state))
-        return accumulator
 
     # ------------------------------------------------------------------
     # collector side
@@ -625,84 +657,10 @@ class FrequencyDAP:
             amplification=self.pipeline.ledger([self.epsilon], [int(counts.sum())]),
         )
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        normal_categories: np.ndarray,
-        poisoned_categories: Sequence[int] = (),
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-    ) -> FrequencyDAPResult:
-        """Simulate one round end to end (collection + estimation)."""
-        reports = self.collect(normal_categories, poisoned_categories, n_byzantine, rng)
-        result = self.estimate(reports)
-        result.skipped_reports = self.contribution_summary(
-            int(np.asarray(normal_categories).size) + int(n_byzantine)
-        )
-        return result
-
-
-# ----------------------------------------------------------------------
-# shard workers (module-level, so tasks pickle cleanly into process pools)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _FrequencyShardTask:
-    """One shard of a k-RR collection round (picklable)."""
-
-    epsilon: float
-    n_categories: int
-    categories: np.ndarray
-    normal_seeds: Tuple[int, ...]
-    n_byzantine: int
-    byzantine_seeds: Tuple[int, ...]
-    targets: np.ndarray
-    block_size: int
-    backend: str = "numpy"
-    protocol: str = "local"
-    shuffle_seed: int = 0
-
-
-def _run_frequency_shard(task: _FrequencyShardTask) -> dict:
-    """Perturb + poison one shard into a category-count snapshot."""
-    with use_backend(task.backend):
-        return _run_frequency_shard_inner(task)
-
-
-def _run_frequency_shard_inner(task: _FrequencyShardTask) -> dict:
-    mechanism = KRandomizedResponse(task.epsilon, task.n_categories)
-    pipeline = ProtocolPipeline(
-        ProtocolPlan(protocol=task.protocol, shuffle_seed=task.shuffle_seed)
-    )
-    accumulator = CategoryCountAccumulator(task.n_categories)
-    block = task.block_size
-    for index, seed in enumerate(task.normal_seeds):
-        chunk = task.categories[index * block : (index + 1) * block]
-        if not chunk.size:
-            continue
-        with stage("collect.sample"):
-            reports = mechanism.perturb(chunk, np.random.default_rng(int(seed)))
-        # block seeds are the shard-partition-invariant delivery lanes
-        reports = pipeline.deliver(reports, (int(seed),))
-        with stage("collect.accumulate"):
-            accumulator.update(reports)
-    remaining = task.n_byzantine
-    for seed in task.byzantine_seeds:
-        n_users_block = min(block, remaining)
-        remaining -= n_users_block
-        if not n_users_block:
-            continue
-        block_rng = np.random.default_rng(int(seed))
-        with stage("collect.poison"):
-            poison = task.targets[
-                block_rng.integers(0, task.targets.size, size=n_users_block)
-            ]
-        poison = pipeline.deliver(poison, (int(seed),))
-        with stage("collect.accumulate"):
-            accumulator.update(poison)
-    return accumulator.state_dict()
-
 
 __all__ = [
+    "CategoricalClient",
+    "CategoricalCollector",
     "DENSE_MAX_CATEGORIES",
     "FrequencyDAP",
     "FrequencyDAPResult",

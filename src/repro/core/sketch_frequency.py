@@ -9,8 +9,10 @@ re-based on the :class:`~repro.ldp.count_sketch.CountSketch` mechanism.
 
 * **Collection** is O(1) per user: each report is a ``(row, bucket)`` pair
   folded into the mergeable ``(rows, width)``
-  :class:`~repro.collect.SketchAccumulator`, so streaming, sharding and the
-  windowed service compose exactly as on the dense path.
+  :class:`~repro.collect.SketchAccumulator`, through the collection body
+  the dense route shares (:class:`~repro.core.frequency.CategoricalCollector`
+  and its shard worker), so streaming, sharding and the windowed service
+  compose exactly as on the dense path.
 * **Probing** never touches a ``k x k`` transform — and unlike the dense
   probe it does not *attribute* poison greedily by likelihood.  At sketch
   geometry the reduced model is nearly unidentifiable per candidate: a
@@ -52,23 +54,16 @@ also (by construction) not frequency-relevant at the sketch's resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from repro.backends import get_backend, use_backend
 from repro.collect.accumulators import SketchAccumulator
-from repro.collect.sharding import (
-    DEFAULT_SHARD_BLOCK,
-    build_shard_plan,
-    run_shard_tasks,
-)
-from repro.collect.streaming import DEFAULT_CHUNK_SIZE, iter_chunks
+from repro.collect.sharding import DEFAULT_SHARD_BLOCK
+from repro.collect.streaming import DEFAULT_CHUNK_SIZE
 from repro.core.emf_star import constrained_m_step
-from repro.core.frequency import EstimatorName
+from repro.core.frequency import CategoricalCollector, EstimatorName
 from repro.ldp.count_sketch import CountSketch
-from repro.protocol.pipeline import ProtocolPipeline
-from repro.protocol.plan import ProtocolPlan
 from repro.ldp.ems import (
     EMResult,
     em_reconstruct,
@@ -76,7 +71,7 @@ from repro.ldp.ems import (
     em_reconstruct_batch,
 )
 from repro.utils.profiling import profiled_stage, stage
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import check_integer, check_positive
 
 #: sigmas of privacy noise a candidate's row-minimum decode must clear to
@@ -157,7 +152,7 @@ class _ProbeState:
     weights: np.ndarray | None = None  # converged reduced weights (dense [+ poison])
 
 
-class SketchFrequencyDAP:
+class SketchFrequencyDAP(CategoricalCollector):
     """Collusion-robust heavy-hitter frequency estimation on a count sketch.
 
     Parameters
@@ -227,13 +222,7 @@ class SketchFrequencyDAP:
             raise ValueError(
                 f"flag_relative_cut must be in (0, 1], got {flag_relative_cut!r}"
             )
-        # single budget group: shuffling adds the amplification ledger and
-        # the (statistics-invariant) transport mixing, as in FrequencyDAP
-        self.protocol_plan = ProtocolPlan(
-            protocol=protocol,
-            contribution_cap=contribution_cap,
-            shuffle_seed=shuffle_seed,
-        )
+        super().__init__(protocol, contribution_cap, shuffle_seed)
         self.mechanism = CountSketch(
             epsilon, n_categories, sketch_rows=sketch_rows, sketch_width=sketch_width
         )
@@ -241,23 +230,7 @@ class SketchFrequencyDAP:
         self.sketch_width = self.mechanism.sketch_width
 
     # ------------------------------------------------------------------
-    # protocol pipeline
-    # ------------------------------------------------------------------
-    @property
-    def pipeline(self) -> ProtocolPipeline:
-        """Stage helpers for the configured protocol (cheap to build)."""
-        return ProtocolPipeline(self.protocol_plan)
-
-    def _reports_per_user(self) -> int:
-        """Each user sends one sketch report, unless the cap drops it."""
-        return self.protocol_plan.effective_repeats(1)
-
-    def contribution_summary(self, n_total: int) -> int:
-        """Reports the contribution cap drops for ``n_total`` users."""
-        return self.pipeline.skipped_reports([int(n_total)], [1])
-
-    # ------------------------------------------------------------------
-    # client-side simulation helpers
+    # client-side simulation (the shared categorical collector)
     # ------------------------------------------------------------------
     @profiled_stage("collect")
     def collect(
@@ -273,25 +246,7 @@ class SketchFrequencyDAP:
         submit the strongest sketch poison — a target category's own cell in
         a uniformly chosen row (see :meth:`CountSketch.target_reports`).
         """
-        rng = ensure_rng(rng)
-        pipeline = self.pipeline
-        normal_categories = np.asarray(normal_categories, dtype=int)
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if not self._reports_per_user():
-            return np.empty((0, 2), dtype=int)
-        with stage("collect.sample"):
-            reports = [self.mechanism.perturb(normal_categories, rng)]
-        if n_byzantine:
-            if not len(poisoned_categories):
-                raise ValueError(
-                    "poisoned_categories must be provided when n_byzantine > 0"
-                )
-            targets = np.asarray(list(poisoned_categories), dtype=int)
-            with stage("collect.poison"):
-                poison = self.mechanism.target_reports(targets, rng, size=n_byzantine)
-            reports.append(poison)
-        merged = np.concatenate(reports)
-        return pipeline.deliver(merged, (0, len(merged)))
+        return self._collect(normal_categories, poisoned_categories, n_byzantine, rng)
 
     @profiled_stage("collect")
     def collect_stream(
@@ -303,37 +258,9 @@ class SketchFrequencyDAP:
         poison_chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> SketchAccumulator:
         """Chunked collection into a sketch accumulator (bounded memory)."""
-        rng = ensure_rng(rng)
-        pipeline = self.pipeline
-        capped = not self._reports_per_user()
-        lane = 0
-        accumulator = SketchAccumulator(self.sketch_rows, self.sketch_width)
-        for chunk in category_chunks:
-            chunk = np.asarray(chunk, dtype=int).ravel()
-            if chunk.size and not capped:
-                with stage("collect.sample"):
-                    reports = self.mechanism.perturb(chunk, rng)
-                reports = pipeline.deliver(reports, (0, lane, len(reports)))
-                lane += 1
-                with stage("collect.accumulate"):
-                    accumulator.update(reports)
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if n_byzantine and not capped:
-            if not len(poisoned_categories):
-                raise ValueError(
-                    "poisoned_categories must be provided when n_byzantine > 0"
-                )
-            targets = np.asarray(list(poisoned_categories), dtype=int)
-            for start, stop in iter_chunks(n_byzantine, poison_chunk_size):
-                with stage("collect.poison"):
-                    poison = self.mechanism.target_reports(
-                        targets, rng, size=stop - start
-                    )
-                poison = pipeline.deliver(poison, (0, lane, len(poison)))
-                lane += 1
-                with stage("collect.accumulate"):
-                    accumulator.update(poison)
-        return accumulator
+        return self._collect_stream(
+            category_chunks, poisoned_categories, n_byzantine, rng, poison_chunk_size
+        )
 
     @profiled_stage("collect")
     def collect_sharded(
@@ -348,57 +275,14 @@ class SketchFrequencyDAP:
     ) -> SketchAccumulator:
         """Sharded collection into one merged sketch accumulator.
 
-        Same contract as the dense path: fixed-size blocks with pre-drawn
-        seeds, shards folded with ``merge()`` — the merged sketch counts are
-        bit-identical at any ``n_shards`` / ``n_workers``.
+        Same contract and shard worker as the dense path: fixed-size blocks
+        with pre-drawn seeds, shards folded with ``merge()`` — the merged
+        sketch counts are bit-identical at any ``n_shards`` / ``n_workers``.
         """
-        rng = ensure_rng(rng)
-        normal_categories = np.asarray(normal_categories, dtype=int).ravel()
-        n_byzantine = check_integer(n_byzantine, "n_byzantine", minimum=0)
-        if n_byzantine and not len(poisoned_categories):
-            raise ValueError(
-                "poisoned_categories must be provided when n_byzantine > 0"
-            )
-        targets = np.asarray(list(poisoned_categories), dtype=int)
-        if not self._reports_per_user():
-            return SketchAccumulator(self.sketch_rows, self.sketch_width)
-        plan = build_shard_plan(
-            [normal_categories.size],
-            [n_byzantine],
-            n_shards=n_shards,
-            rng=rng,
-            block_size=block_size,
+        return self._collect_sharded(
+            normal_categories, poisoned_categories, n_byzantine, rng,
+            n_shards, n_workers, block_size,
         )
-        backend_name = get_backend().name
-        tasks = []
-        for shard_index in range(plan.n_shards):
-            slices = plan.shard(shard_index)
-            if not slices:
-                continue
-            (piece,) = slices
-            tasks.append(
-                _SketchShardTask(
-                    epsilon=self.epsilon,
-                    n_categories=self.n_categories,
-                    sketch_rows=self.sketch_rows,
-                    sketch_width=self.sketch_width,
-                    categories=normal_categories[
-                        piece.normal_start : piece.normal_stop
-                    ],
-                    normal_seeds=piece.normal_seeds,
-                    n_byzantine=piece.n_byzantine,
-                    byzantine_seeds=piece.byzantine_seeds,
-                    targets=targets,
-                    block_size=block_size,
-                    backend=backend_name,
-                    protocol=self.protocol_plan.protocol,
-                    shuffle_seed=self.protocol_plan.shuffle_seed,
-                )
-            )
-        accumulator = SketchAccumulator(self.sketch_rows, self.sketch_width)
-        for state in run_shard_tasks(_run_sketch_shard, tasks, n_workers):
-            accumulator.merge(SketchAccumulator.from_state(state))
-        return accumulator
 
     # ------------------------------------------------------------------
     # collector side
@@ -917,22 +801,6 @@ class SketchFrequencyDAP:
             ),
         )
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        normal_categories: np.ndarray,
-        poisoned_categories: Sequence[int] = (),
-        n_byzantine: int = 0,
-        rng: RngLike = None,
-    ) -> SketchFrequencyDAPResult:
-        """Simulate one round end to end (collection + estimation)."""
-        reports = self.collect(normal_categories, poisoned_categories, n_byzantine, rng)
-        result = self.estimate(reports)
-        result.skipped_reports = self.contribution_summary(
-            int(np.asarray(normal_categories).size) + int(n_byzantine)
-        )
-        return result
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SketchFrequencyDAP(epsilon={self.epsilon:g}, "
@@ -940,73 +808,6 @@ class SketchFrequencyDAP:
             f"rows={self.sketch_rows}, width={self.sketch_width}, "
             f"estimator={self.estimator!r})"
         )
-
-
-# ----------------------------------------------------------------------
-# shard workers (module-level, so tasks pickle cleanly into process pools)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _SketchShardTask:
-    """One shard of a count-sketch collection round (picklable)."""
-
-    epsilon: float
-    n_categories: int
-    sketch_rows: int
-    sketch_width: int
-    categories: np.ndarray
-    normal_seeds: Tuple[int, ...]
-    n_byzantine: int
-    byzantine_seeds: Tuple[int, ...]
-    targets: np.ndarray
-    block_size: int
-    backend: str = "numpy"
-    protocol: str = "local"
-    shuffle_seed: int = 0
-
-
-def _run_sketch_shard(task: _SketchShardTask) -> dict:
-    """Perturb + poison one shard into a sketch-count snapshot."""
-    with use_backend(task.backend):
-        return _run_sketch_shard_inner(task)
-
-
-def _run_sketch_shard_inner(task: _SketchShardTask) -> dict:
-    mechanism = CountSketch(
-        task.epsilon,
-        task.n_categories,
-        sketch_rows=task.sketch_rows,
-        sketch_width=task.sketch_width,
-    )
-    pipeline = ProtocolPipeline(
-        ProtocolPlan(protocol=task.protocol, shuffle_seed=task.shuffle_seed)
-    )
-    accumulator = SketchAccumulator(task.sketch_rows, task.sketch_width)
-    block = task.block_size
-    for index, seed in enumerate(task.normal_seeds):
-        chunk = task.categories[index * block : (index + 1) * block]
-        if not chunk.size:
-            continue
-        with stage("collect.sample"):
-            reports = mechanism.perturb(chunk, np.random.default_rng(int(seed)))
-        # block seeds are the shard-partition-invariant delivery lanes
-        reports = pipeline.deliver(reports, (int(seed),))
-        with stage("collect.accumulate"):
-            accumulator.update(reports)
-    remaining = task.n_byzantine
-    for seed in task.byzantine_seeds:
-        n_users_block = min(block, remaining)
-        remaining -= n_users_block
-        if not n_users_block:
-            continue
-        block_rng = np.random.default_rng(int(seed))
-        with stage("collect.poison"):
-            poison = mechanism.target_reports(
-                task.targets, block_rng, size=n_users_block
-            )
-        poison = pipeline.deliver(poison, (int(seed),))
-        with stage("collect.accumulate"):
-            accumulator.update(poison)
-    return accumulator.state_dict()
 
 
 __all__ = ["SketchFrequencyDAP", "SketchFrequencyDAPResult"]

@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 from repro.backends import get_backend
+from repro.collect.accumulators import SketchAccumulator
 from repro.ldp.base import CategoricalMechanism, MechanismError
 from repro.ldp.olh import _hash_categories
 from repro.registry import MECHANISMS
@@ -85,6 +86,14 @@ class CountSketch(CategoricalMechanism):
         self.p = exp_eps / (exp_eps + self.sketch_width - 1.0)
         self.q = 1.0 / (exp_eps + self.sketch_width - 1.0)
 
+    def __reduce__(self):
+        # everything else is derived from these four, so shard tasks ship
+        # the mechanism's identity rather than its derived arrays
+        return (
+            type(self),
+            (self.epsilon, self.n_categories, self.sketch_rows, self.sketch_width),
+        )
+
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
@@ -131,6 +140,10 @@ class CountSketch(CategoricalMechanism):
                 f"count-sketch reports must have shape (n, 2), got {reports.shape}"
             )
         return reports.astype(np.int64, copy=False)
+
+    def new_accumulator(self) -> SketchAccumulator:
+        """An empty ``(rows, width)`` accumulator for this sketch's reports."""
+        return SketchAccumulator(self.sketch_rows, self.sketch_width)
 
     def fold(self, reports: np.ndarray) -> np.ndarray:
         """Fold ``(row, bucket)`` reports into ``(rows, width)`` counts."""

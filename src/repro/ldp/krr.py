@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from repro.backends import get_backend
+from repro.collect.accumulators import CategoryCountAccumulator
 from repro.ldp.base import CategoricalMechanism, MechanismError
 from repro.registry import MECHANISMS
 from repro.utils.rng import RngLike, ensure_rng
@@ -42,6 +43,21 @@ class KRandomizedResponse(CategoricalMechanism):
             categories.ravel(), self.n_categories, self.p, rng
         )
         return out.reshape(categories.shape)
+
+    def target_reports(
+        self, targets: np.ndarray, rng: RngLike = None, size: int = 1
+    ) -> np.ndarray:
+        """Poison reports naming a uniformly chosen target category directly,
+        the strongest attack in the k-RR output domain."""
+        rng = ensure_rng(rng)
+        targets = self._validate_categories(np.asarray(targets)).ravel()
+        if targets.size == 0:
+            raise MechanismError("target_reports needs at least one target category")
+        return targets[rng.integers(0, targets.size, size=size)]
+
+    def new_accumulator(self) -> CategoryCountAccumulator:
+        """An empty count accumulator over this mechanism's report domain."""
+        return CategoryCountAccumulator(self.n_categories)
 
     def report_counts(self, reports: np.ndarray) -> np.ndarray:
         """Raw counts of each category among the reports."""

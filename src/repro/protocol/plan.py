@@ -64,7 +64,7 @@ def check_contribution_cap(cap: int | None) -> int | None:
     return cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolPlan:
     """The immutable contract one collection round is lowered to."""
 
