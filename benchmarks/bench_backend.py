@@ -241,9 +241,10 @@ def main(argv=None) -> int:
             "'collect' rows time the client-side collection round alone "
             "(sampling + poison + accumulation) — the kernel families the "
             "backend layer accelerates; 'full' rows add the collector-side "
-            "probe/aggregate EM, whose wall time is BLAS-threading-bound and "
-            "dominates on single-core runners. Per-stage splits are in each "
-            "row's 'profile'."
+            "probe/aggregate EM. The probe's batched EM does one BLAS product "
+            "plus one scatter and one gather over the poison columns per "
+            "iteration, so its wall time follows its iteration count, not BLAS "
+            "threading. Per-stage splits are in each row's 'profile'."
         ),
         "results": results,
     }

@@ -48,7 +48,7 @@ def test_ablation_estimator_ladder(benchmark):
             for estimator in ("emf", "emf_star", "cemf_star")
         }
 
-    mse = benchmark(run_all)
+    mse = benchmark.pedantic(run_all, rounds=1, iterations=1)
     print("\nestimator ablation (MSE):", {k: f"{v:.2e}" for k, v in mse.items()})
     assert min(mse["emf_star"], mse["cemf_star"]) <= mse["emf"] * 1.5
 
@@ -70,7 +70,7 @@ def test_ablation_group_count(benchmark):
             for epsilon_min in (1.0, 1 / 4, 1 / 16)
         }
 
-    mse = benchmark(run_all)
+    mse = benchmark.pedantic(run_all, rounds=1, iterations=1)
     print("\ngroup-count ablation (MSE):", {k: f"{v:.2e}" for k, v in mse.items()})
     # multi-group DAP (the paper's design) beats the single-group degenerate
     # case, which cannot probe gamma at a small budget
@@ -96,7 +96,7 @@ def test_ablation_aggregation_weights(benchmark):
             mean_squared_error(equal, dataset.true_mean),
         )
 
-    optimal_mse, equal_mse = benchmark(run_both)
+    optimal_mse, equal_mse = benchmark.pedantic(run_both, rounds=1, iterations=1)
     print(f"\nweights ablation: optimal={optimal_mse:.2e} equal={equal_mse:.2e}")
     assert optimal_mse < equal_mse
 
@@ -120,7 +120,7 @@ def test_ablation_suppression_threshold(benchmark):
             for factor in (0.1, 0.5, 1.0)
         }
 
-    mse = benchmark(run_all)
+    mse = benchmark.pedantic(run_all, rounds=1, iterations=1)
     print("\nsuppression-threshold ablation (MSE):", {k: f"{v:.2e}" for k, v in mse.items()})
     # the threshold is not a cliff: every setting keeps the estimate usable
     # (single-trial MSEs fluctuate too much to rank the factors reliably here)

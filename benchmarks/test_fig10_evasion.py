@@ -10,14 +10,18 @@ from repro.experiments import format_fig10, run_fig10
 
 
 def test_fig10_evasion(benchmark, bench_scale_small):
-    records = benchmark(
+    records = benchmark.pedantic(
         run_fig10,
-        bench_scale_small,
-        datasets=("Taxi",),
-        evasive_fractions=(0.0, 0.1, 0.3, 0.5),
-        epsilon=0.5,
-        schemes=("DAP-EMF*", "DAP-CEMF*"),
-        rng=0,
+        args=(bench_scale_small,),
+        kwargs=dict(
+            datasets=("Taxi",),
+            evasive_fractions=(0.0, 0.1, 0.3, 0.5),
+            epsilon=0.5,
+            schemes=("DAP-EMF*", "DAP-CEMF*"),
+            rng=0,
+        ),
+        rounds=1,
+        iterations=1,
     )
     print("\n" + format_fig10(records))
 

@@ -10,7 +10,9 @@ from repro.experiments import ExperimentScale, format_fig4, run_fig4
 
 def test_fig4_dataset_summaries(benchmark):
     scale = ExperimentScale(n_users=50_000, n_trials=1)
-    records = benchmark(run_fig4, scale, rng=0)
+    records = benchmark.pedantic(
+        run_fig4, args=(scale,), kwargs=dict(rng=0), rounds=1, iterations=1
+    )
     print("\n" + format_fig4(records))
 
     for record in records:

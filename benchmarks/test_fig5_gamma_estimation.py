@@ -10,13 +10,17 @@ from repro.experiments import format_fig5, run_fig5
 
 
 def test_fig5_gamma_estimation(benchmark, bench_scale):
-    records = benchmark(
+    records = benchmark.pedantic(
         run_fig5,
-        bench_scale,
-        epsilons=(2.0, 0.5, 0.0625),
-        gammas=(0.1, 0.4),
-        poison_ranges=("[C/2,C]", "[O,C]"),
-        rng=0,
+        args=(bench_scale,),
+        kwargs=dict(
+            epsilons=(2.0, 0.5, 0.0625),
+            gammas=(0.1, 0.4),
+            poison_ranges=("[C/2,C]", "[O,C]"),
+            rng=0,
+        ),
+        rounds=1,
+        iterations=1,
     )
     print("\n" + format_fig5(records))
 

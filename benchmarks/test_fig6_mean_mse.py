@@ -14,13 +14,17 @@ from repro.experiments import format_fig6, run_fig6
 
 
 def test_fig6_mean_estimation_mse(benchmark, bench_scale):
-    records = benchmark(
+    records = benchmark.pedantic(
         run_fig6,
-        bench_scale,
-        datasets=("Taxi", "Beta(5,2)"),
-        poison_ranges=("[3C/4,C]",),
-        epsilons=(0.5, 1.0, 2.0),
-        rng=0,
+        args=(bench_scale,),
+        kwargs=dict(
+            datasets=("Taxi", "Beta(5,2)"),
+            poison_ranges=("[3C/4,C]",),
+            epsilons=(0.5, 1.0, 2.0),
+            rng=0,
+        ),
+        rounds=1,
+        iterations=1,
     )
     print("\n" + format_fig6(records))
 

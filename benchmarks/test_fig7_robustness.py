@@ -10,14 +10,18 @@ from repro.experiments import format_fig7, run_fig7
 
 
 def test_fig7_robustness(benchmark, bench_scale_small):
-    records = benchmark(
+    records = benchmark.pedantic(
         run_fig7,
-        bench_scale_small,
-        poison_ranges=("[C/2,C]",),
-        gammas=(0.1, 0.4),
-        distributions=("Uniform", "Gaussian", "Beta(6,1)"),
-        schemes=("DAP-EMF*", "DAP-CEMF*", "Ostrich", "Trimming"),
-        rng=0,
+        args=(bench_scale_small,),
+        kwargs=dict(
+            poison_ranges=("[C/2,C]",),
+            gammas=(0.1, 0.4),
+            distributions=("Uniform", "Gaussian", "Beta(6,1)"),
+            schemes=("DAP-EMF*", "DAP-CEMF*", "Ostrich", "Trimming"),
+            rng=0,
+        ),
+        rounds=1,
+        iterations=1,
     )
     print("\n" + format_fig7(records))
 

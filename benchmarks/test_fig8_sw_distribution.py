@@ -27,7 +27,7 @@ def test_fig8_square_wave(benchmark, bench_scale_small):
             ),
         }
 
-    results = benchmark(run_all)
+    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     print("\n" + format_fig8(results))
 
     # (a): the EMF family beats Ostrich on distribution reconstruction

@@ -10,12 +10,16 @@ from repro.experiments import format_fig9_frequency, run_fig9_frequency
 
 
 def test_fig9_frequency_estimation(benchmark, bench_scale_small):
-    records = benchmark(
+    records = benchmark.pedantic(
         run_fig9_frequency,
-        bench_scale_small,
-        epsilons=(0.5, 1.0, 2.0),
-        panels={"c": (9,), "d": (2, 3, 4)},
-        rng=0,
+        args=(bench_scale_small,),
+        kwargs=dict(
+            epsilons=(0.5, 1.0, 2.0),
+            panels={"c": (9,), "d": (2, 3, 4)},
+            rng=0,
+        ),
+        rounds=1,
+        iterations=1,
     )
     print("\n" + format_fig9_frequency(records))
 

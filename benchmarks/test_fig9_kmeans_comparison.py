@@ -13,14 +13,18 @@ from repro.experiments import (
 
 
 def test_fig9_kmeans_comparison(benchmark, bench_scale_small):
-    records = benchmark(
+    records = benchmark.pedantic(
         run_fig9_defense_comparison,
-        bench_scale_small,
-        epsilons=(1.0, 2.0),
-        sampling_rates=(0.1, 0.5),
-        include_ima_panel=True,
-        ima_inputs=(1.0,),
-        rng=0,
+        args=(bench_scale_small,),
+        kwargs=dict(
+            epsilons=(1.0, 2.0),
+            sampling_rates=(0.1, 0.5),
+            include_ima_panel=True,
+            ima_inputs=(1.0,),
+            rng=0,
+        ),
+        rounds=1,
+        iterations=1,
     )
     print("\n" + format_fig9_defense_comparison(records))
 

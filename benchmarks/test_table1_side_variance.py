@@ -10,12 +10,16 @@ from repro.experiments.table1 import TABLE1_RANGES
 
 
 def test_table1_side_variance(benchmark, bench_scale):
-    records = benchmark(
+    records = benchmark.pedantic(
         run_table1,
-        bench_scale,
-        epsilons=(2.0, 0.5, 0.125),
-        poison_ranges=TABLE1_RANGES,
-        rng=0,
+        args=(bench_scale,),
+        kwargs=dict(
+            epsilons=(2.0, 0.5, 0.125),
+            poison_ranges=TABLE1_RANGES,
+            rng=0,
+        ),
+        rounds=1,
+        iterations=1,
     )
     print("\n" + format_table1(records))
 

@@ -539,9 +539,9 @@ def em_reconstruct_batch(
     if n_tail and (tail_rows.min() < 0 or tail_rows.max() >= d_out):
         raise ValueError("tail_rows must index output rows of the dense block")
     if spread is not None and n_tail:
-        # each spread column scatters 1/S onto its S rows with one
-        # fancy-indexed add per s; duplicate rows within a column would be
-        # silently lost by that add, so they are rejected up front
+        # input contract: a spread column puts 1/S on each of S *distinct*
+        # rows; a repeated row would silently make it a different column
+        # shape (2/S on one row), so duplicates are rejected up front
         sorted_rows = np.sort(tail_rows, axis=2)
         if np.any(sorted_rows[:, :, 1:] == sorted_rows[:, :, :-1]):
             raise ValueError(
@@ -587,20 +587,20 @@ def em_reconstruct_batch(
     # anything (convergence masking) and the loop never pays fancy-indexed
     # scatters into the full arrays per iteration.
     def _mixtures(w: np.ndarray, rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """Clamped mixtures for the active block: one GEMM + column scatters."""
+        """Clamped mixtures for the active block: one GEMM + one tail scatter."""
         out = backend.matmul(w[:, :n_dense], dense.T)
-        # one fancy-indexed add per tail column (and per spread slot): the
-        # (row, column) pairs within a single assignment are unique — across
-        # hypotheses trivially, across spread slots by the distinctness
-        # check — and padded columns add exact zeros
+        # one unbuffered scatter of every tail weight: padded columns repeat
+        # a real row (adding exact zeros) and spread columns of a hypothesis
+        # may share rows, so repeated cells must accumulate, which np.add.at
+        # does one by one in (hypothesis, column, slot) order
         if spread is None:
-            for t in range(n_tail):
-                out[index, rows[:, t]] += w[:, n_dense + t]
+            np.add.at(out, (index[:, None], rows), w[:, n_dense:])
         else:
-            for t in range(n_tail):
-                share = w[:, n_dense + t] * inv_spread
-                for s in range(spread):
-                    out[index, rows[:, t, s]] += share
+            np.add.at(
+                out,
+                (index[:, None, None], rows),
+                (w[:, n_dense:] * inv_spread)[:, :, None],
+            )
         return np.maximum(out, 1e-300)
 
     def _log_likelihoods(mixtures: np.ndarray) -> np.ndarray:
@@ -660,12 +660,11 @@ def em_reconstruct_batch(
                 real_rows = tail_rows[h][tail_mask[h]]
                 transform = np.zeros((d_out, int(real.sum())))
                 transform[:, :n_dense] = dense
+                columns = n_dense + np.arange(real_rows.shape[0])
                 if spread is None:
-                    for t, row in enumerate(real_rows):
-                        transform[row, n_dense + t] = 1.0
+                    transform[real_rows, columns] = 1.0
                 else:
-                    for t in range(real_rows.shape[0]):
-                        transform[real_rows[t], n_dense + t] = inv_spread
+                    transform[real_rows, columns[:, None]] = inv_spread
                 budget = max_iter - iteration
                 if gap_tol is not None:
                     result = em_reconstruct_accelerated(
@@ -709,13 +708,11 @@ def em_reconstruct_batch(
         aggregates = np.empty((active.size, n_components))
         backend.matmul(ratios, dense, out=aggregates[:, :n_dense])
         if spread is None:
-            for t in range(n_tail):
-                aggregates[:, n_dense + t] = ratios[index, rows_active[:, t]]
+            aggregates[:, n_dense:] = ratios[index[:, None], rows_active]
         else:
-            for t in range(n_tail):
-                aggregates[:, n_dense + t] = inv_spread * (
-                    ratios[index[:, None], rows_active[:, t, :]].sum(axis=1)
-                )
+            aggregates[:, n_dense:] = inv_spread * (
+                ratios[index[:, None, None], rows_active].sum(axis=2)
+            )
         responsibilities = w_active * aggregates
         totals = responsibilities.sum(axis=1)
         if use_bounds:
@@ -723,16 +720,12 @@ def em_reconstruct_batch(
             # the aggregate IS the likelihood gradient and totals its inner
             # product with the weights, so the bounds come almost for free
             if has_pads:
-                feasible_max = aggregates[:, :n_dense].max(axis=1)
-                for t in range(n_tail):
-                    feasible_max = np.maximum(
-                        feasible_max,
-                        np.where(
-                            mask_active[:, t],
-                            aggregates[:, n_dense + t],
-                            -np.inf,
-                        ),
-                    )
+                feasible_max = np.maximum(
+                    aggregates[:, :n_dense].max(axis=1),
+                    np.where(mask_active, aggregates[:, n_dense:], -np.inf).max(
+                        axis=1
+                    ),
+                )
             else:
                 feasible_max = aggregates.max(axis=1)
             gaps = feasible_max - totals

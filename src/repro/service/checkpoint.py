@@ -68,7 +68,9 @@ def write_checkpoint(path: str, payload: Mapping[str, Any]) -> None:
     )
     try:
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            # same bytes as json.dump, but json.dumps takes the C encoder
+            # and json.dump always streams through the pure-Python one
+            handle.write(json.dumps(payload))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)

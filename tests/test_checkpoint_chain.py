@@ -10,7 +10,8 @@ cut at arbitrary points, snapshot/restored between every pair of chunks.
 Covered: all four accumulator types (``ExactSum``, ``HistogramAccumulator``,
 ``CategoryCountAccumulator``, ``GroupAccumulator``) and the k-RR frequency
 path (perturbed categorical reports, counts as the sufficient statistic,
-de-biased frequency estimates off the restored counts).
+de-biased frequency estimates off the restored counts).  The checkpoint
+file itself holds exactly ``json.dumps`` of the checksum-stamped payload.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ from repro.collect import (
     HistogramAccumulator,
 )
 from repro.ldp import KRandomizedResponse
+from repro.service import (
+    CHECKPOINT_VERSION,
+    load_checkpoint,
+    payload_checksum,
+    write_checkpoint,
+)
 from repro.utils.discretization import BucketGrid
 
 COMMON_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -164,3 +171,30 @@ class TestChainedSnapshotsMatchOneShot:
         observed = chained.counts_float() / chained.n_reports
         from_counts = (observed - mechanism.q) / (mechanism.p - mechanism.q)
         assert np.array_equal(from_counts, mechanism.estimate_frequencies(reports))
+
+
+@given(params=values_and_cuts, n_buckets=st.integers(1, 32))
+@settings(max_examples=20, **COMMON_SETTINGS)
+def test_checkpoint_file_is_json_dumps_of_stamped_payload(
+    tmp_path_factory, params, n_buckets
+):
+    """The written bytes are ``json.dumps`` of the payload plus its checksum,
+    and loading them gives the payload back."""
+    seed, n, _ = params
+    grid = BucketGrid(-2.0, 2.0, n_buckets)
+    reports = np.random.default_rng(seed).uniform(-2.0, 2.0, size=n)
+    accumulator = GroupAccumulator(0.5, grid, n_expected_reports=None)
+    accumulator.update(reports)
+    payload = {
+        "version": CHECKPOINT_VERSION,
+        "digest": "d\u00e9j\u00e0",
+        "next_window": n,
+        "cumulative": [accumulator.state_dict()],
+        "windows": [{"estimate": float(reports.mean()) if n else None}],
+        "detector": {"statistic": 1e-300, "threshold": -0.1},
+    }
+    path = tmp_path_factory.mktemp("checkpoint") / "c.json"
+    write_checkpoint(str(path), payload)
+    stamped = {**payload, "checksum": payload_checksum(payload)}
+    assert path.read_bytes() == json.dumps(stamped).encode("utf-8")
+    assert load_checkpoint(str(path)) == json.loads(json.dumps(payload))
