@@ -22,7 +22,6 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import time
@@ -30,6 +29,8 @@ import time
 from repro.engine import run_experiment
 from repro.experiments.defaults import ExperimentScale, QUICK_SCALE
 from repro.experiments.fig6 import build_fig6_spec
+
+import harness
 
 
 def record_key(records):
@@ -110,11 +111,8 @@ def main() -> None:
         artifact["speedup_vs_baseline"] = round(
             args.baseline_seconds / min(serial_s, parallel_s, batched_parallel_s), 3
         )
-    with open(args.out, "w") as handle:
-        json.dump(artifact, handle, indent=1)
-        handle.write("\n")
-    print(f"speedup {artifact['parallel_speedup']}x, records identical: {identical}; "
-          f"wrote {args.out}")
+    print(f"speedup {artifact['parallel_speedup']}x, records identical: {identical}")
+    harness.write_json("bench_engine", args.out, artifact, indent=1)
     if not identical:
         raise SystemExit("parallel records diverged from serial records")
 

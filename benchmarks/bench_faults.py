@@ -31,12 +31,16 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
 import time
 
+import harness
+
+TAG = "bench_faults"
 EPSILON = 1.0
 GAMMA = 0.25
 SEED = 7
@@ -72,20 +76,6 @@ SERVICE_PLAN = {
         {"kind": "checkpoint", "window": 3, "mode": "truncate"},
     ],
 }
-
-#: window fields that must be bit-identical between clean and faulted runs
-DETERMINISTIC_FIELDS = (
-    "window",
-    "n_users_cum",
-    "n_reports_cum",
-    "estimate",
-    "gamma_hat",
-    "poisoned_side",
-    "window_gamma",
-    "detector_score",
-    "flagged",
-    "warm",
-)
 
 
 def collect_round(n_users: int, fault_plan=None):
@@ -185,17 +175,8 @@ def service_stream(n_windows: int, window_size: int, fault_plan=None):
             result = run_service(spec, checkpoint_path=checkpoint)
             elapsed = time.perf_counter() - start
             fired = injector.fired if injector is not None else 0
-    rows = [
-        {key: getattr(row, key) for key in DETERMINISTIC_FIELDS}
-        for row in result.windows
-    ]
+    rows = [row.deterministic_view() for row in result.windows]
     return rows, elapsed, fired, dict(result.resilience)
-
-
-def check(condition: bool, label: str, failures: list) -> None:
-    print(f"[bench_faults] {'PASS' if condition else 'FAIL'}: {label}", flush=True)
-    if not condition:
-        failures.append(label)
 
 
 def main(argv=None) -> int:
@@ -227,6 +208,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
     failures = []
+    check = functools.partial(harness.check, TAG, failures)
     summary = {
         "quick": args.quick,
         "n_users": n_users,
@@ -255,17 +237,9 @@ def main(argv=None) -> int:
         "faults_fired": fired,
         "faults_planned": len(COLLECT_PLAN["faults"]),
     }
-    check(faulted_fp == clean_fp, "collection round bit-identical under faults", failures)
-    check(
-        fired == len(COLLECT_PLAN["faults"]),
-        "all planned collection faults fired",
-        failures,
-    )
-    check(
-        ratio <= bound,
-        f"collection fault overhead {ratio:.2f}x <= {bound:g}x",
-        failures,
-    )
+    check(faulted_fp == clean_fp, "collection round bit-identical under faults")
+    check(fired == len(COLLECT_PLAN["faults"]), "all planned collection faults fired")
+    check(ratio <= bound, f"collection fault overhead {ratio:.2f}x <= {bound:g}x")
 
     print(
         f"[bench_faults] service stream: {n_windows} windows x "
@@ -290,24 +264,13 @@ def main(argv=None) -> int:
         "faults_planned": len(SERVICE_PLAN["faults"]),
         "resilience": resilience,
     }
-    check(faulted_rows == clean_rows, "service stream bit-identical under faults", failures)
-    check(
-        fired == len(SERVICE_PLAN["faults"]),
-        "all planned service faults fired",
-        failures,
-    )
-    check(
-        ratio <= bound,
-        f"service fault overhead {ratio:.2f}x <= {bound:g}x",
-        failures,
-    )
+    check(faulted_rows == clean_rows, "service stream bit-identical under faults")
+    check(fired == len(SERVICE_PLAN["faults"]), "all planned service faults fired")
+    check(ratio <= bound, f"service fault overhead {ratio:.2f}x <= {bound:g}x")
 
     summary["failures"] = failures
     summary["ok"] = not failures
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"[bench_faults] wrote {args.out}", flush=True)
+    harness.write_json(TAG, args.out, summary, indent=1, sort_keys=True)
     if failures:
         print(f"[bench_faults] {len(failures)} gate(s) FAILED", file=sys.stderr)
         return 1

@@ -30,11 +30,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 import numpy as np
+
+import harness
 
 EPSILON = 1.0
 SEED = 7
@@ -314,10 +315,7 @@ def main(argv=None) -> int:
         },
         "results": results,
     }
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"[bench_probe] wrote {args.out}")
+    harness.write_json("bench_probe", args.out, payload)
 
     failures = [row for row in results if not row.get("ok")]
     if failures:

@@ -23,165 +23,50 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import resource
-import subprocess
-import sys
-import time
 
-EPSILON = 1.0
-GAMMA = 0.25
-SEED = 7
-CHUNK_SIZE = 65_536
-#: dataset records are sampled with replacement, so the dataset itself stays
-#: small no matter the population size
-DATASET_SAMPLES = 100_000
+import harness
+
+TAG = "bench_scale"
 DEFAULT_SIZES = (100_000, 1_000_000, 10_000_000)
-
-
-def _peak_rss_mb() -> float:
-    """Peak resident set size of this process in MiB (Linux: ru_maxrss is KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def run_single(mode: str, n_users: int, mem_limit_gb: float) -> dict:
-    """Child entry point: one collection round, reported as JSON on stdout."""
-    if mem_limit_gb > 0:
-        limit = int(mem_limit_gb * 1024**3)
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    import numpy as np  # noqa: F401  (imported after the rlimit is set)
-
-    from repro.attacks.bba import BiasedByzantineAttack
-    from repro.attacks.distributions import PAPER_POISON_RANGES
-    from repro.core.dap import DAPConfig, DAPProtocol
-    from repro.datasets.synthetic import uniform_dataset
-    from repro.simulation.population import build_population, stream_population
-
-    dataset = uniform_dataset(n_samples=DATASET_SAMPLES, rng=SEED)
-    attack = BiasedByzantineAttack(PAPER_POISON_RANGES["[C/2,C]"])
-    protocol = DAPProtocol(DAPConfig(epsilon=EPSILON, estimator="cemf_star"))
-
-    start = time.perf_counter()
-    if mode == "streaming":
-        stream = stream_population(
-            dataset, n_users, GAMMA, rng=SEED, chunk_size=CHUNK_SIZE
-        )
-        result = protocol.run_stream(
-            stream.chunks(), stream.n_normal, attack, stream.n_byzantine, rng=SEED
-        )
-        truth = stream.true_mean
-    elif mode == "in-memory":
-        population = build_population(dataset, n_users, GAMMA, rng=SEED)
-        result = protocol.run(
-            population.normal_values, attack, population.n_byzantine, rng=SEED
-        )
-        truth = population.true_mean
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    elapsed = time.perf_counter() - start
-
-    return {
-        "mode": mode,
-        "n_users": n_users,
-        "ok": True,
-        "wall_time_s": round(elapsed, 3),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
-        "estimate": result.estimate,
-        "true_mean": truth,
-        "abs_error": abs(result.estimate - truth),
-        "gamma_hat": result.gamma_hat,
-    }
-
-
-def run_child(mode: str, n_users: int, mem_limit_gb: float, timeout_s: float) -> dict:
-    """Run one configuration in a subprocess and parse its JSON report."""
-    command = [
-        sys.executable,
-        __file__,
-        "--single",
-        mode,
-        str(n_users),
-        "--mem-limit-gb",
-        str(mem_limit_gb),
-    ]
-    start = time.perf_counter()
-    try:
-        child = subprocess.run(
-            command, capture_output=True, text=True, timeout=timeout_s
-        )
-    except subprocess.TimeoutExpired:
-        return {
-            "mode": mode,
-            "n_users": n_users,
-            "ok": False,
-            "error": f"timed out after {timeout_s:g}s",
-        }
-    elapsed = time.perf_counter() - start
-    if child.returncode != 0:
-        # a MemoryError under the address-space cap is the expected failure
-        # shape for the in-memory path at large scales
-        tail = (child.stderr or "").strip().splitlines()
-        return {
-            "mode": mode,
-            "n_users": n_users,
-            "ok": False,
-            "error": tail[-1] if tail else f"exit code {child.returncode}",
-            "wall_time_s": round(elapsed, 3),
-        }
-    return json.loads(child.stdout)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES))
-    parser.add_argument("--mem-limit-gb", type=float, default=4.0)
-    parser.add_argument("--timeout-s", type=float, default=1800.0)
-    parser.add_argument("--out", default="BENCH_scale.json")
-    parser.add_argument("--single", nargs=2, metavar=("MODE", "N_USERS"), default=None)
+    harness.add_child_options(
+        parser, "BENCH_scale.json", nargs=2, metavar=("MODE", "N_USERS")
+    )
     args = parser.parse_args(argv)
 
     if args.single is not None:
-        mode, n_users = args.single[0], int(args.single[1])
-        try:
-            report = run_single(mode, n_users, args.mem_limit_gb)
-        except MemoryError:
-            print("MemoryError: exceeded the address-space cap", file=sys.stderr)
-            return 3
-        print(json.dumps(report))
-        return 0
+        mode, n_users = args.single
+        return harness.child_main(
+            lambda: harness.dap_round(mode, int(n_users)), args.mem_limit_gb
+        )
 
-    results = []
-    for n_users in args.sizes:
-        for mode in ("in-memory", "streaming"):
-            print(f"[bench_scale] {mode} @ {n_users:,} users ...", flush=True)
-            report = run_child(mode, n_users, args.mem_limit_gb, args.timeout_s)
-            status = (
-                f"{report['wall_time_s']:.1f}s, {report['peak_rss_mb']:.0f} MiB"
-                if report.get("ok")
-                else f"FAILED ({report.get('error')})"
-            )
-            print(f"[bench_scale]   -> {status}", flush=True)
-            results.append(report)
-
+    results = [
+        harness.measure(
+            TAG,
+            f"{mode} @ {n_users:,} users",
+            harness.child_command(__file__, (mode, n_users), args.mem_limit_gb),
+            {"mode": mode, "n_users": n_users},
+            args.timeout_s,
+        )
+        for n_users in args.sizes
+        for mode in ("in-memory", "streaming")
+    ]
     payload = {
         "benchmark": "streaming vs in-memory DAP collection",
         "config": {
-            "epsilon": EPSILON,
-            "gamma": GAMMA,
-            "estimator": "cemf_star",
-            "attack": "bba [C/2,C]",
-            "chunk_size": CHUNK_SIZE,
-            "dataset_samples": DATASET_SAMPLES,
+            **harness.DAP_ROUND_CONFIG,
+            "chunk_size": harness.CHUNK_SIZE,
+            "dataset_samples": harness.DATASET_SAMPLES,
             "mem_limit_gb": args.mem_limit_gb,
-            "seed": SEED,
+            "seed": harness.SEED,
         },
         "results": results,
     }
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"[bench_scale] wrote {args.out}")
+    harness.write_json(TAG, args.out, payload)
     return 0
 
 

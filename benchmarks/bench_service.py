@@ -32,9 +32,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
-import resource
 import signal
 import statistics
 import subprocess
@@ -42,9 +42,9 @@ import sys
 import tempfile
 import time
 
-EPSILON = 1.0
-GAMMA = 0.25
-SEED = 7
+import harness
+
+TAG = "bench_service"
 DEFAULT_WINDOWS = 24
 DEFAULT_WINDOW_SIZE = 50_000
 QUICK_WINDOWS = 8
@@ -52,50 +52,26 @@ QUICK_WINDOW_SIZE = 5_000
 #: the window after which the kill/resume child is SIGKILLed
 KILL_AFTER_FRACTION = 0.4
 
-#: window fields that must be bit-identical across kill/resume
-DETERMINISTIC_FIELDS = (
-    "window",
-    "n_users_cum",
-    "n_reports_cum",
-    "estimate",
-    "gamma_hat",
-    "poisoned_side",
-    "window_gamma",
-    "detector_score",
-    "flagged",
-    "warm",
-)
-
 
 def bench_spec(warm: bool, n_windows: int, window_size: int):
     from repro.service import ServiceSpec
 
     return ServiceSpec(
         name=f"bench_service_{'warm' if warm else 'cold'}",
-        epsilon=EPSILON,
+        epsilon=harness.EPSILON,
         window_size=window_size,
         n_windows=n_windows,
         dataset="Uniform",
         attack={"name": "bba", "poison_range": "[C/2,C]"},
-        gamma=GAMMA,
+        gamma=harness.GAMMA,
         attack_start=0,
-        seed=SEED,
+        seed=harness.SEED,
         warm_probe=warm,
     )
 
 
-def run_single(
-    mode: str,
-    n_windows: int,
-    window_size: int,
-    checkpoint: str,
-    mem_limit_gb: float,
-) -> dict:
+def run_single(mode: str, n_windows: int, window_size: int, checkpoint: str) -> dict:
     """Child entry point: run the full stream (resuming any checkpoint)."""
-    if mem_limit_gb > 0:
-        limit = int(mem_limit_gb * 1024**3)
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
     from repro.service import run_service
 
     spec = bench_spec(mode == "warm", n_windows, window_size)
@@ -129,46 +105,9 @@ def run_single(
 def child_command(
     mode: str, n_windows: int, window_size: int, checkpoint: str, mem_limit_gb: float
 ) -> list:
-    return [
-        sys.executable,
-        __file__,
-        "--single",
-        mode,
-        str(n_windows),
-        str(window_size),
-        checkpoint,
-        "--mem-limit-gb",
-        str(mem_limit_gb),
-    ]
-
-
-def run_child(
-    mode: str,
-    n_windows: int,
-    window_size: int,
-    checkpoint: str,
-    mem_limit_gb: float,
-    timeout_s: float,
-) -> dict:
-    start = time.perf_counter()
-    try:
-        child = subprocess.run(
-            child_command(mode, n_windows, window_size, checkpoint, mem_limit_gb),
-            capture_output=True,
-            text=True,
-            timeout=timeout_s,
-        )
-    except subprocess.TimeoutExpired:
-        return {"mode": mode, "ok": False, "error": f"timed out after {timeout_s:g}s"}
-    if child.returncode != 0:
-        tail = (child.stderr or "").strip().splitlines()
-        return {
-            "mode": mode,
-            "ok": False,
-            "error": tail[-1] if tail else f"exit code {child.returncode}",
-            "wall_time_s": round(time.perf_counter() - start, 3),
-        }
-    return json.loads(child.stdout)
+    return harness.child_command(
+        __file__, (mode, n_windows, window_size, checkpoint), mem_limit_gb
+    )
 
 
 def run_kill_resume(
@@ -178,10 +117,11 @@ def run_kill_resume(
     kill_after = max(1, int(n_windows * KILL_AFTER_FRACTION))
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint = os.path.join(tmp, "bench.checkpoint.json")
+        command = child_command(
+            "warm", n_windows, window_size, checkpoint, mem_limit_gb
+        )
         victim = subprocess.Popen(
-            child_command("warm", n_windows, window_size, checkpoint, mem_limit_gb),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            command, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
         )
         deadline = time.monotonic() + timeout_s
         killed_at = None
@@ -207,25 +147,19 @@ def run_kill_resume(
                     f"(killed_at={killed_at})"
                 ),
             }
-        report = run_child(
-            "warm", n_windows, window_size, checkpoint, mem_limit_gb, timeout_s
-        )
+        report = harness.run_child(command, {"mode": "warm"}, timeout_s)
     report["mode"] = "kill-resume"
     report["killed_at_window"] = killed_at
     return report
 
 
 def deterministic_rows(report: dict) -> list:
+    from repro.service.runtime import WindowResult
+
     return [
-        {key: row[key] for key in DETERMINISTIC_FIELDS}
+        {key: row[key] for key in WindowResult.DETERMINISTIC_FIELDS}
         for row in report.get("windows", [])
     ]
-
-
-def check(condition: bool, label: str, failures: list) -> None:
-    print(f"[bench_service] {'PASS' if condition else 'FAIL'}: {label}", flush=True)
-    if not condition:
-        failures.append(label)
 
 
 def main(argv=None) -> int:
@@ -239,28 +173,20 @@ def main(argv=None) -> int:
         "the >=3x warm-speedup gate is recorded but not enforced (the short "
         "stream never reaches steady state)",
     )
-    parser.add_argument("--mem-limit-gb", type=float, default=4.0)
-    parser.add_argument("--timeout-s", type=float, default=1800.0)
-    parser.add_argument("--out", default="BENCH_service.json")
-    parser.add_argument(
-        "--single",
+    harness.add_child_options(
+        parser,
+        "BENCH_service.json",
         nargs=4,
         metavar=("MODE", "N_WINDOWS", "WINDOW_SIZE", "CHECKPOINT"),
-        default=None,
     )
     args = parser.parse_args(argv)
 
     if args.single is not None:
         mode, n_windows, window_size, checkpoint = args.single
-        try:
-            report = run_single(
-                mode, int(n_windows), int(window_size), checkpoint, args.mem_limit_gb
-            )
-        except MemoryError:
-            print("MemoryError: exceeded the address-space cap", file=sys.stderr)
-            return 3
-        print(json.dumps(report))
-        return 0
+        return harness.child_main(
+            lambda: run_single(mode, int(n_windows), int(window_size), checkpoint),
+            args.mem_limit_gb,
+        )
 
     if args.quick:
         n_windows = args.windows or QUICK_WINDOWS
@@ -274,30 +200,27 @@ def main(argv=None) -> int:
     results = []
     reports = {}
     for mode in ("warm", "cold"):
-        print(
-            f"[bench_service] {mode} stream: {n_windows} windows x "
-            f"{window_size:,} users ...",
-            flush=True,
-        )
         with tempfile.TemporaryDirectory() as tmp:
-            report = run_child(
-                mode,
-                n_windows,
-                window_size,
-                os.path.join(tmp, "bench.checkpoint.json"),
-                args.mem_limit_gb,
+            report = harness.measure(
+                TAG,
+                f"{mode} stream: {n_windows} windows x {window_size:,} users",
+                child_command(
+                    mode,
+                    n_windows,
+                    window_size,
+                    os.path.join(tmp, "bench.checkpoint.json"),
+                    args.mem_limit_gb,
+                ),
+                {"mode": mode},
                 timeout_s,
+                status=lambda r: (
+                    f"{r['wall_time_s']:.1f}s, {r['users_per_s']:,.0f} users/s"
+                ),
             )
-        status = (
-            f"{report['wall_time_s']:.1f}s, {report['users_per_s']:,.0f} users/s"
-            if report.get("ok")
-            else f"FAILED ({report.get('error')})"
-        )
-        print(f"[bench_service]   -> {status}", flush=True)
         reports[mode] = report
         results.append(report)
 
-    print("[bench_service] kill/resume stream ...", flush=True)
+    print(f"[{TAG}] kill/resume stream ...", flush=True)
     kill_report = run_kill_resume(n_windows, window_size, args.mem_limit_gb, timeout_s)
     status = (
         f"killed at window {kill_report['killed_at_window']}, resumed from "
@@ -305,15 +228,16 @@ def main(argv=None) -> int:
         if kill_report.get("ok")
         else f"FAILED ({kill_report.get('error')})"
     )
-    print(f"[bench_service]   -> {status}", flush=True)
+    print(f"[{TAG}]   -> {status}", flush=True)
     results.append(kill_report)
 
     failures = []
+    check = functools.partial(harness.check, TAG, failures)
     warm, cold = reports["warm"], reports["cold"]
     summary = {}
-    check(bool(warm.get("ok")), "warm stream completed", failures)
-    check(bool(cold.get("ok")), "cold stream completed", failures)
-    check(bool(kill_report.get("ok")), "kill/resume stream completed", failures)
+    check(bool(warm.get("ok")), "warm stream completed")
+    check(bool(cold.get("ok")), "cold stream completed")
+    check(bool(kill_report.get("ok")), "kill/resume stream completed")
 
     if warm.get("ok"):
         rows = warm["windows"]
@@ -331,13 +255,11 @@ def main(argv=None) -> int:
                 rows[-1]["n_users_cum"] >= 1_000_000,
                 f"cumulative population past 10^6 users "
                 f"({rows[-1]['n_users_cum']:,})",
-                failures,
             )
         check(
             late <= early * 1.5 + 200.0,
             f"peak RSS bounded as the stream grows "
             f"(first-quarter max {early:.0f} MiB, last-quarter max {late:.0f} MiB)",
-            failures,
         )
 
     if warm.get("ok") and cold.get("ok"):
@@ -346,7 +268,6 @@ def main(argv=None) -> int:
         check(
             warm_sides == cold_sides,
             "warm probing selects the same side as cold in every window",
-            failures,
         )
         steady = max(1, len(warm["windows"]) // 3)
         warm_probe = statistics.median(
@@ -370,35 +291,27 @@ def main(argv=None) -> int:
             f"({speedup:.1f}x: {cold_probe:.3f}s -> {warm_probe:.3f}s)"
         )
         if args.quick:
-            print(
-                f"[bench_service] INFO: {label} (not enforced with --quick)",
-                flush=True,
-            )
+            print(f"[{TAG}] INFO: {label} (not enforced with --quick)", flush=True)
         else:
-            check(speedup >= 3.0, label, failures)
+            check(speedup >= 3.0, label)
 
     if warm.get("ok") and kill_report.get("ok"):
         check(
             kill_report["resumed_from"] >= kill_report["killed_at_window"],
             "resume continued from the checkpoint instead of recomputing",
-            failures,
         )
         check(
             deterministic_rows(kill_report) == deterministic_rows(warm),
             "kill/resume window results bit-identical to the uninterrupted run",
-            failures,
         )
 
     payload = {
         "benchmark": "continuous-service runtime: sustained windowed aggregation",
         "config": {
-            "epsilon": EPSILON,
-            "gamma": GAMMA,
-            "estimator": "cemf_star",
-            "attack": "bba [C/2,C]",
+            **harness.DAP_ROUND_CONFIG,
             "n_windows": n_windows,
             "window_size": window_size,
-            "seed": SEED,
+            "seed": harness.SEED,
             "mem_limit_gb": args.mem_limit_gb,
             "quick": args.quick,
             "cpu_count": os.cpu_count(),
@@ -415,15 +328,9 @@ def main(argv=None) -> int:
         "checks_failed": failures,
         "results": results,
     }
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"[bench_service] wrote {args.out}")
+    harness.write_json(TAG, args.out, payload)
     if failures:
-        print(
-            f"[bench_service] {len(failures)} check(s) FAILED: {failures}",
-            file=sys.stderr,
-        )
+        print(f"[{TAG}] {len(failures)} check(s) FAILED: {failures}", file=sys.stderr)
         return 1
     return 0
 

@@ -17,6 +17,10 @@ Every measurement runs in a fresh subprocess under an address-space cap
 path materialises only the raw values (~80 MiB at 10^7 users), never the
 reports, so it must stay within the same budget the streaming path satisfies.
 
+The sharded estimate must not depend on the worker count: the script exits
+nonzero, naming the population sizes, when the sharded rows of one size
+disagree.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_shard.py --out BENCH_shard.json
@@ -26,127 +30,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import resource
-import subprocess
 import sys
-import time
 
-EPSILON = 1.0
-GAMMA = 0.25
-SEED = 7
-CHUNK_SIZE = 65_536
-#: dataset records are sampled with replacement, so the dataset itself stays
-#: small no matter the population size
-DATASET_SAMPLES = 100_000
+import harness
+
+TAG = "bench_shard"
 DEFAULT_SIZES = (1_000_000, 10_000_000)
 DEFAULT_WORKERS = (1, 2, 4, 8)
-
-
-def _peak_rss_mb() -> float:
-    """Peak resident set size of this process in MiB (Linux: ru_maxrss is KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _peak_rss_children_mb() -> float:
-    """Peak resident set size over reaped child processes in MiB."""
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-
-
-def run_single(mode: str, n_users: int, mem_limit_gb: float) -> dict:
-    """Child entry point: one collection round, reported as JSON on stdout."""
-    if mem_limit_gb > 0:
-        limit = int(mem_limit_gb * 1024**3)
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    import numpy as np  # noqa: F401  (imported after the rlimit is set)
-
-    from repro.attacks.bba import BiasedByzantineAttack
-    from repro.attacks.distributions import PAPER_POISON_RANGES
-    from repro.core.dap import DAPConfig, DAPProtocol
-    from repro.datasets.synthetic import uniform_dataset
-    from repro.simulation.population import build_population, stream_population
-
-    dataset = uniform_dataset(n_samples=DATASET_SAMPLES, rng=SEED)
-    attack = BiasedByzantineAttack(PAPER_POISON_RANGES["[C/2,C]"])
-    protocol = DAPProtocol(DAPConfig(epsilon=EPSILON, estimator="cemf_star"))
-
-    workers = None
-    start = time.perf_counter()
-    if mode == "streaming":
-        stream = stream_population(
-            dataset, n_users, GAMMA, rng=SEED, chunk_size=CHUNK_SIZE
-        )
-        result = protocol.run_stream(
-            stream.chunks(), stream.n_normal, attack, stream.n_byzantine, rng=SEED
-        )
-        truth = stream.true_mean
-    elif mode.startswith("sharded-"):
-        workers = int(mode.rsplit("-", 1)[1])
-        population = build_population(dataset, n_users, GAMMA, rng=SEED)
-        result = protocol.run_sharded(
-            population.normal_values,
-            attack,
-            population.n_byzantine,
-            rng=SEED,
-            n_shards=workers,
-            n_workers=workers,
-        )
-        truth = population.true_mean
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    elapsed = time.perf_counter() - start
-
-    report = {
-        "mode": mode,
-        "n_users": n_users,
-        "ok": True,
-        "wall_time_s": round(elapsed, 3),
-        "peak_rss_mb": round(max(_peak_rss_mb(), _peak_rss_children_mb()), 1),
-        "estimate": result.estimate,
-        "true_mean": truth,
-        "abs_error": abs(result.estimate - truth),
-        "gamma_hat": result.gamma_hat,
-    }
-    if workers is not None:
-        report["collect_workers"] = workers
-    return report
-
-
-def run_child(mode: str, n_users: int, mem_limit_gb: float, timeout_s: float) -> dict:
-    """Run one configuration in a subprocess and parse its JSON report."""
-    command = [
-        sys.executable,
-        __file__,
-        "--single",
-        mode,
-        str(n_users),
-        "--mem-limit-gb",
-        str(mem_limit_gb),
-    ]
-    start = time.perf_counter()
-    try:
-        child = subprocess.run(
-            command, capture_output=True, text=True, timeout=timeout_s
-        )
-    except subprocess.TimeoutExpired:
-        return {
-            "mode": mode,
-            "n_users": n_users,
-            "ok": False,
-            "error": f"timed out after {timeout_s:g}s",
-        }
-    elapsed = time.perf_counter() - start
-    if child.returncode != 0:
-        tail = (child.stderr or "").strip().splitlines()
-        return {
-            "mode": mode,
-            "n_users": n_users,
-            "ok": False,
-            "error": tail[-1] if tail else f"exit code {child.returncode}",
-            "wall_time_s": round(elapsed, 3),
-        }
-    return json.loads(child.stdout)
 
 
 def main(argv=None) -> int:
@@ -155,68 +45,54 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workers", type=int, nargs="+", default=list(DEFAULT_WORKERS)
     )
-    parser.add_argument("--mem-limit-gb", type=float, default=4.0)
-    parser.add_argument("--timeout-s", type=float, default=1800.0)
-    parser.add_argument("--out", default="BENCH_shard.json")
-    parser.add_argument("--single", nargs=2, metavar=("MODE", "N_USERS"), default=None)
+    harness.add_child_options(
+        parser, "BENCH_shard.json", nargs=2, metavar=("MODE", "N_USERS")
+    )
     args = parser.parse_args(argv)
 
     if args.single is not None:
-        mode, n_users = args.single[0], int(args.single[1])
-        try:
-            report = run_single(mode, n_users, args.mem_limit_gb)
-        except MemoryError:
-            print("MemoryError: exceeded the address-space cap", file=sys.stderr)
-            return 3
-        print(json.dumps(report))
-        return 0
+        mode, n_users = args.single
+        return harness.child_main(
+            lambda: harness.dap_round(mode, int(n_users)), args.mem_limit_gb
+        )
 
     results = []
     estimates: dict = {}
     for n_users in args.sizes:
-        modes = ["streaming"] + [f"sharded-{workers}" for workers in args.workers]
-        for mode in modes:
-            print(f"[bench_shard] {mode} @ {n_users:,} users ...", flush=True)
-            report = run_child(mode, n_users, args.mem_limit_gb, args.timeout_s)
-            status = (
-                f"{report['wall_time_s']:.1f}s, {report['peak_rss_mb']:.0f} MiB"
-                if report.get("ok")
-                else f"FAILED ({report.get('error')})"
+        for mode in ["streaming"] + [f"sharded-{w}" for w in args.workers]:
+            report = harness.measure(
+                TAG,
+                f"{mode} @ {n_users:,} users",
+                harness.child_command(__file__, (mode, n_users), args.mem_limit_gb),
+                {"mode": mode, "n_users": n_users},
+                args.timeout_s,
             )
-            print(f"[bench_shard]   -> {status}", flush=True)
             results.append(report)
             if report.get("ok") and mode.startswith("sharded-"):
                 estimates.setdefault(n_users, set()).add(report["estimate"])
 
-    # the sharded estimate must not depend on the worker count
-    for n_users, values in estimates.items():
-        if len(values) > 1:
-            print(
-                f"[bench_shard] WARNING: sharded estimates diverge at "
-                f"{n_users:,} users: {sorted(values)}",
-                file=sys.stderr,
-            )
-
     payload = {
         "benchmark": "sharded vs streaming DAP collection",
         "config": {
-            "epsilon": EPSILON,
-            "gamma": GAMMA,
-            "estimator": "cemf_star",
-            "attack": "bba [C/2,C]",
-            "chunk_size": CHUNK_SIZE,
-            "dataset_samples": DATASET_SAMPLES,
+            **harness.DAP_ROUND_CONFIG,
+            "chunk_size": harness.CHUNK_SIZE,
+            "dataset_samples": harness.DATASET_SAMPLES,
             "mem_limit_gb": args.mem_limit_gb,
-            "seed": SEED,
+            "seed": harness.SEED,
             "workers": list(args.workers),
         },
         "results": results,
     }
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"[bench_shard] wrote {args.out}")
-    return 0
+    harness.write_json(TAG, args.out, payload)
+
+    diverged = {n: sorted(v) for n, v in estimates.items() if len(v) > 1}
+    for n_users, values in diverged.items():
+        print(
+            f"[{TAG}] FAILED: sharded estimates diverge at {n_users:,} users: "
+            f"{values}",
+            file=sys.stderr,
+        )
+    return 1 if diverged else 0
 
 
 if __name__ == "__main__":

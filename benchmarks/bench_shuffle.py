@@ -35,6 +35,8 @@ import json
 import sys
 import time
 
+import harness
+
 EPSILON = 1.0
 
 #: committed-artifact configuration
@@ -224,11 +226,9 @@ def main(argv=None) -> int:
         "wall_time_s": round(time.perf_counter() - start, 3),
         "results": list(results.values()),
     }
-    text = json.dumps(report, indent=2)
+    print(json.dumps(report, indent=2))
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    print(text)
+        harness.write_json("bench_shuffle", args.out, report)
     return 0 if not violations else 1
 
 

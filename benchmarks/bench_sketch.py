@@ -29,14 +29,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
-import resource
-import subprocess
 import sys
 import time
 
+import harness
+
+TAG = "bench_sketch"
+MODES = ("guard", "merge", "clean", "attack")
 EPSILON = 4.0
 SEED = 7
 TIME_BUDGET_S = 30.0
@@ -65,11 +66,6 @@ QUICK = dict(
     n_heavies=10,
     n_targets=3,
 )
-
-
-def _peak_rss_mb() -> float:
-    """Peak resident set size of this process in MiB (Linux: ru_maxrss is KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _planted(config: dict) -> tuple[dict, list]:
@@ -176,7 +172,7 @@ def run_merge(config: dict) -> dict:
         "ok": len(set(digests)) == 1,
         "shards": [1, 2, 4],
         "counts_sha256": digests[0][:16],
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "peak_rss_mb": round(harness.peak_rss_mb(), 1),
     }
 
 
@@ -225,7 +221,7 @@ def run_round(config: dict, attacked: bool) -> dict:
         "mode": "attack" if attacked else "clean",
         "ok": True,
         "wall_time_s": round(elapsed, 3),
-        "peak_rss_mb": round(_peak_rss_mb(), 1),
+        "peak_rss_mb": round(harness.peak_rss_mb(), 1),
         "n_reports": int(accumulator.n_reports),
         "poisoned_categories": result.poisoned_categories,
         "gamma_hat": round(result.gamma_hat, 5),
@@ -249,37 +245,20 @@ def run_round(config: dict, attacked: bool) -> dict:
     return report
 
 
+def run_single(mode: str, config: dict) -> dict:
+    """Child entry point: one measurement."""
+    if mode == "guard":
+        return run_guard(config)
+    if mode == "merge":
+        return run_merge(config)
+    return run_round(config, attacked=mode == "attack")
+
+
 # ----------------------------------------------------------------------
 # parent: orchestration and gating
 # ----------------------------------------------------------------------
-def run_child(mode: str, quick: bool, mem_limit_gb: float, timeout_s: float) -> dict:
-    command = [
-        sys.executable,
-        __file__,
-        "--single",
-        mode,
-        "--mem-limit-gb",
-        str(mem_limit_gb),
-    ]
-    if quick:
-        command.append("--quick")
-    start = time.perf_counter()
-    try:
-        child = subprocess.run(
-            command, capture_output=True, text=True, timeout=timeout_s
-        )
-    except subprocess.TimeoutExpired:
-        return {"mode": mode, "ok": False, "error": f"timed out after {timeout_s:g}s"}
-    elapsed = time.perf_counter() - start
-    if child.returncode != 0:
-        tail = (child.stderr or "").strip().splitlines()
-        return {
-            "mode": mode,
-            "ok": False,
-            "error": tail[-1] if tail else f"exit code {child.returncode}",
-            "wall_time_s": round(elapsed, 3),
-        }
-    return json.loads(child.stdout)
+def _status(report: dict) -> str:
+    return f"ok ({report['wall_time_s']:.1f}s)" if "wall_time_s" in report else "ok"
 
 
 def gate(results: dict, config: dict) -> list:
@@ -348,44 +327,37 @@ def gate(results: dict, config: dict) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI smoke configuration")
-    parser.add_argument("--mem-limit-gb", type=float, default=4.0)
-    parser.add_argument("--timeout-s", type=float, default=600.0)
-    parser.add_argument("--out", default="BENCH_sketch.json")
-    parser.add_argument(
-        "--single",
-        choices=["guard", "merge", "clean", "attack"],
-        default=None,
+    harness.add_child_options(
+        parser,
+        "BENCH_sketch.json",
+        timeout_s=600.0,
+        choices=list(MODES),
         help="child entry point: one measurement, JSON on stdout",
     )
     args = parser.parse_args(argv)
     config = QUICK if args.quick else FULL
 
     if args.single is not None:
-        if args.mem_limit_gb > 0:
-            limit = int(args.mem_limit_gb * 1024**3)
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-        try:
-            if args.single == "guard":
-                report = run_guard(config)
-            elif args.single == "merge":
-                report = run_merge(config)
-            else:
-                report = run_round(config, attacked=args.single == "attack")
-        except MemoryError:
-            print("MemoryError: exceeded the address-space cap", file=sys.stderr)
-            return 3
-        print(json.dumps(report))
-        return 0
+        return harness.child_main(
+            lambda: run_single(args.single, config), args.mem_limit_gb
+        )
 
-    results = {}
-    for mode in ("guard", "merge", "clean", "attack"):
-        print(f"[bench_sketch] {mode} ...", flush=True)
-        report = run_child(mode, args.quick, args.mem_limit_gb, args.timeout_s)
-        status = "ok" if report.get("ok") else f"FAILED ({report.get('error')})"
-        if "wall_time_s" in report:
-            status += f" ({report['wall_time_s']:.1f}s)"
-        print(f"[bench_sketch]   -> {status}", flush=True)
-        results[mode] = report
+    results = {
+        mode: harness.measure(
+            TAG,
+            mode,
+            harness.child_command(
+                __file__,
+                (mode,),
+                args.mem_limit_gb,
+                *(["--quick"] if args.quick else []),
+            ),
+            {"mode": mode},
+            args.timeout_s,
+            status=_status,
+        )
+        for mode in MODES
+    }
 
     violations = gate(results, config)
     payload = {
@@ -411,14 +383,11 @@ def main(argv=None) -> int:
         ),
         "gates_passed": not violations,
         "violations": violations,
-        "results": [results[m] for m in ("guard", "merge", "clean", "attack")],
+        "results": list(results.values()),
     }
-    with open(args.out, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"[bench_sketch] wrote {args.out}")
+    harness.write_json(TAG, args.out, payload)
     for violation in violations:
-        print(f"[bench_sketch] GATE VIOLATION: {violation}", file=sys.stderr)
+        print(f"[{TAG}] GATE VIOLATION: {violation}", file=sys.stderr)
     return 1 if violations else 0
 
 
